@@ -32,7 +32,6 @@ from .catalog import (
     CHEAT_DETECT_MARKS,
     MESSAGE_MARKS,
     InitialStateSpec,
-    MarkedStateSets,
     TableRow,
     build_state,
     catalog_entry,

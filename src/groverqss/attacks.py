@@ -16,9 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state
+from .catalog import CHEAT_DETECT_MARKS, decode_grid, initial_state
 from .grover import (
-    ARGMAX_TOL,
     argmax_labels,
     decode_phase1,
     decode_phase2,
@@ -133,16 +132,14 @@ def intercept_wrong_op(
     """
     encoded = encode(initial_state(k_true), m)
     guess = initial_state(k_guess)
-    intermediate = diffusion_apply(encoded, guess)
     p1 = decode_phase1(encoded, guess)
     M = M_guess if M_guess is not None else p1.chosen_M
-    final = diffusion_apply(oracle_apply(intermediate, M), guess)
-    fdist = distribution(final)
+    final, fdist = decode_phase2(p1.state, M, guess)
     p_m = float(fdist[label_to_index(m)])
     tied = argmax_labels(fdist, 3)
     return AttackReport(
         attack_kind="intercept",
-        intermediate_states=[("after_first_diffusion", intermediate), ("final", final)],
+        intermediate_states=[("after_first_diffusion", p1.state), ("final", final)],
         outcome_dist=fdist,
         attacker_success_prob=p_m,
         notes=[
@@ -171,14 +168,10 @@ def intercept_enumeration(k_true: int = 1, m: str = "110") -> AttackReport:
     (published as 13/64) and the largest single cheat-detect outcome
     probability under a forced mark (published as 37/128).
     """
-    encoded = encode(initial_state(k_true), m)
     per_guess = []
     strict = inclusive = correct_M = 0
     max_cheat_label_prob = 0.0
-    for k in range(1, 65):
-        guess = initial_state(k)
-        p1 = decode_phase1(encoded, guess)
-        final, fdist = decode_phase2(p1.state, p1.chosen_M, guess)
+    for k, guess, p1, fdist in decode_grid(k_true, m):
         tied = argmax_labels(fdist, 3)
         top_p = float(fdist.max())
         s_strict = tied == [m] and top_p > 0.5
@@ -369,32 +362,9 @@ def intercept_resend_analysis() -> AttackReport:
     )
 
 
-def _apply_cnot(s: StateVector, control_qubit: int) -> StateVector:
-    """CNOT from a protocol qubit (1..3, big-endian) to the ancilla (qubit 4)."""
-    if not 1 <= control_qubit <= 3:
-        raise ValueError(f"control qubit must be 1..3, got {control_qubit}")
-    control_bit = 1 << (s.num_qubits - control_qubit)
-    amps = np.zeros_like(s.amps)
-    for i in range(s.dim):
-        j = i ^ 1 if i & control_bit else i
-        amps[j] += s.amps[i]
-    return StateVector(s.num_qubits, amps)
-
-
-def _extend_oracle(s: StateVector, m: str) -> StateVector:
-    """(U_m x I) on a 3-qubit mark over the 4-qubit state."""
-    idx = label_to_index(m)
-    amps = s.amps.copy()
-    amps[2 * idx] *= -1
-    amps[2 * idx + 1] *= -1
-    return StateVector(s.num_qubits, amps)
-
-
-def _extend_diffusion(s: StateVector, about3: StateVector) -> StateVector:
-    """(U_S x I): diffuse each ancilla branch about the 3-qubit state."""
-    v = s.amps.reshape(8, 2)
-    out = 2 * np.outer(about3.amps, about3.amps.conj() @ v) - v
-    return StateVector(s.num_qubits, out.reshape(16))
+def _with_ancilla(branches: list[StateVector]) -> StateVector:
+    """4-qubit state whose ancilla (qubit 4) value b carries ``branches[b]``."""
+    return StateVector(4, np.stack([b.amps for b in branches], axis=1).reshape(16))
 
 
 def marginal_over_ancilla(s: StateVector) -> np.ndarray:
@@ -408,20 +378,28 @@ def entangle_measure(
     """Ancilla-coupling attack: CNOT onto a fresh |0> ancilla, then decode.
 
     Records the three displayed intermediates: the entangled state, the
-    state after the first extended diffusion, and the state after the
-    extended mark oracle.  The detection probability is the cheat-detect
-    mass of the final 3-qubit marginal, reported next to the published
-    5/32 figure without asserting either as ground truth.
+    state after the first diffusion, and the state after the mark oracle,
+    each applied as U x I to both ancilla branches.  The detection
+    probability is the cheat-detect mass of the final 3-qubit marginal,
+    reported next to the published 5/32 figure without asserting either as
+    ground truth.
     """
     encoded = encode(initial_state(k), m)
-    extended = StateVector(4, np.kron(encoded.amps, np.array([1, 0], dtype=np.complex128)))
-    entangled = _apply_cnot(extended, control_qubit)
+    if not 1 <= control_qubit <= 3:
+        raise ValueError(f"control qubit must be 1..3, got {control_qubit}")
+    # After the CNOT, ancilla value b sits on exactly the amplitudes whose
+    # control bit is b, and U x I acts on each such branch as the 3-qubit U.
+    # Adding 0 turns -0.0 into 0.0, as summing onto the fresh ancilla does.
+    control = (np.arange(8) >> (3 - control_qubit)) & 1
+    branches = [StateVector(3, np.where(control == b, encoded.amps, 0) + 0) for b in (0, 1)]
+    entangled = _with_ancilla(branches)
     sk = initial_state(k)
-    after_diffusion = _extend_diffusion(entangled, sk)
+    branches = [diffusion_apply(s, sk) for s in branches]
+    after_diffusion = _with_ancilla(branches)
     if M is None:
         marg = marginal_over_ancilla(after_diffusion)
         M = index_to_label(int(np.argmax(marg)), 3)
-    after_oracle = _extend_oracle(after_diffusion, M)
+    after_oracle = _with_ancilla([oracle_apply(s, M) for s in branches])
     final_marginal = marginal_over_ancilla(after_oracle)
     detect = float(sum(final_marginal[label_to_index(c)] for c in sorted(CHEAT_DETECT_MARKS)))
     claims = [Claim.compare("cheat_detect_probability", detect, 5 / 32)]

@@ -1,9 +1,9 @@
 """The 64-entry initial-state catalog and the published result tables.
 
 The catalog ordering is irregular (there is no closed-form rule), so it is
-embedded verbatim and also shipped as ``data/catalog.txt`` for auditing.
-Reference copies of the published tables are embedded for diffing; the
-build never silently trusts them, disagreements are reported as findings.
+embedded verbatim here, its only copy.  Reference copies of the
+published tables are embedded for diffing; the build never silently trusts
+them, disagreements are reported as findings.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ import io
 import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from importlib import resources
 
-from .grover import argmax_labels, collective_op, decode_phase1, decode_phase2, encode
+import numpy as np
+
+from .grover import DecodePhase1Result, argmax_labels, decode_phase1, decode_phase2, encode
 from .statevec import EigenAxis, StateVector, eigen_vector, tensor
 
 # One line per k: "k axis1 axis2 axis3".  k=1 is (+,+,+), k=64 is (-i,-,-i).
@@ -104,22 +105,6 @@ class InitialStateSpec:
     axes: tuple[EigenAxis, EigenAxis, EigenAxis]
 
 
-@dataclass(frozen=True)
-class MarkedStateSets:
-    """Partition of the 8 basis labels into message and cheat-detect marks."""
-
-    message: frozenset[str] = MESSAGE_MARKS
-    cheat_detect: frozenset[str] = CHEAT_DETECT_MARKS
-
-    def __post_init__(self):
-        if self.message & self.cheat_detect:
-            raise ValueError("message and cheat-detect sets overlap")
-        if self.message | self.cheat_detect != frozenset(
-            format(i, "03b") for i in range(8)
-        ):
-            raise ValueError("message and cheat-detect sets must cover all 8 labels")
-
-
 def _parse_catalog(text: str) -> tuple[InitialStateSpec, ...]:
     specs = []
     for line in text.strip().splitlines():
@@ -152,12 +137,6 @@ def initial_state(k: int) -> StateVector:
     return build_state(catalog_entry(k))
 
 
-def load_catalog_file() -> tuple[InitialStateSpec, ...]:
-    """Parse the shipped data file; must agree with the embedded catalog."""
-    text = resources.files("groverqss").joinpath("data/catalog.txt").read_text()
-    return _parse_catalog(text)
-
-
 def round3(x: float) -> float:
     """Half-up rounding to 3 decimals, matching the published table style."""
     return float(Decimal(repr(float(x))).quantize(Decimal("0.001"), ROUND_HALF_UP))
@@ -179,6 +158,41 @@ class TableRow:
     final_prob: float
 
 
+def decode_grid(
+    enc_k: int, m: str, M: str | None = None, overrides: dict[int, str] | None = None
+) -> list[tuple[int, StateVector, DecodePhase1Result, np.ndarray]]:
+    """Decode |S_enc_k>_m with every catalog state S_k, k = 1..64.
+
+    Returns one ``(k, S_k, phase-1 result, final distribution)`` row per k.
+    Phase 2 uses the forced mark ``M`` on every row when given, else the
+    phase-1 choice, which ``overrides`` may force on specific rows.
+    """
+    overrides = overrides or {}
+    encoded = encode(initial_state(enc_k), m)
+    rows = []
+    for k in range(1, 65):
+        sk = initial_state(k)
+        p1 = decode_phase1(encoded, sk, choose=overrides.get(k))
+        _, fdist = decode_phase2(p1.state, p1.chosen_M if M is None else M, sk)
+        rows.append((k, sk, p1, fdist))
+    return rows
+
+
+def _table_rows(enc_k: int, m: str, M: str | None, overrides: dict[int, str]) -> list[TableRow]:
+    """Table 1 rows when ``M`` is None, else table 2 rows for the forced mark."""
+    return [
+        TableRow(
+            k=k,
+            phase1_outcomes=p1.argmax_set if M is None else None,
+            phase1_prob=round3(p1.max_prob) if M is None else None,
+            chosen_M=p1.chosen_M if M is None else M,
+            final_outcomes=frozenset(argmax_labels(fdist, 3)),
+            final_prob=round3(float(fdist.max())),
+        )
+        for k, _, p1, fdist in decode_grid(enc_k, m, M, overrides)
+    ]
+
+
 def generate_table1(
     enc_k: int = 1,
     m: str = "110",
@@ -192,46 +206,12 @@ def generate_table1(
     """
     if overrides is None:
         overrides = PUBLISHED_M_OVERRIDES if (enc_k, m) == (1, "110") else {}
-    encoded = encode(initial_state(enc_k), m)
-    rows = []
-    for k in range(1, 65):
-        sk = initial_state(k)
-        p1 = decode_phase1(encoded, sk, choose=overrides.get(k))
-        _, fdist = decode_phase2(p1.state, p1.chosen_M, sk)
-        fset = argmax_labels(fdist, 3)
-        rows.append(
-            TableRow(
-                k=k,
-                phase1_outcomes=p1.argmax_set,
-                phase1_prob=round3(p1.max_prob),
-                chosen_M=p1.chosen_M,
-                final_outcomes=frozenset(fset),
-                final_prob=round3(float(fdist.max())),
-            )
-        )
-    return rows
+    return _table_rows(enc_k, m, None, overrides)
 
 
 def generate_table2(enc_k: int = 1, m: str = "110", M: str = "110") -> list[TableRow]:
     """Full pipeline for every catalog state with a forced intermediate mark."""
-    encoded = encode(initial_state(enc_k), m)
-    rows = []
-    for k in range(1, 65):
-        sk = initial_state(k)
-        p1 = decode_phase1(encoded, sk)
-        _, fdist = decode_phase2(p1.state, M, sk)
-        fset = argmax_labels(fdist, 3)
-        rows.append(
-            TableRow(
-                k=k,
-                phase1_outcomes=None,
-                phase1_prob=None,
-                chosen_M=M,
-                final_outcomes=frozenset(fset),
-                final_prob=round3(float(fdist.max())),
-            )
-        )
-    return rows
+    return _table_rows(enc_k, m, M, {})
 
 
 # Published tables, embedded verbatim for diffing.  Table 1 columns:

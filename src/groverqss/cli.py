@@ -20,8 +20,6 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
 
-FORMATS = ("csv", "json", "markdown")
-
 
 def _emit(text: str, out: str | None):
     if out:
@@ -149,14 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enc-k", type=int, default=1, dest="enc_k")
     p.add_argument("--m", default="110")
     p.add_argument("--M", default="110")
-    p.add_argument("--format", choices=FORMATS, default="csv")
+    p.add_argument("--format", choices=("csv", "json", "markdown"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("protocol", help="run a secret-sharing session from a JSON config")
     p.add_argument("config")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=FORMATS, default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_protocol)
 
@@ -169,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-guess", type=int, default=None, dest="k_guess")
     p.add_argument("--M", default=None)
     p.add_argument("--control", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=FORMATS, default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_attack)
 
@@ -179,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default="110")
     p.add_argument("--shots", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=FORMATS, default="json")
+    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 

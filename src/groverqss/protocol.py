@@ -101,12 +101,11 @@ class SessionResult:
     verdict: str  # "accept" or "reject"
 
 
-def split_secret(secret: str, message_set: frozenset[str] = MESSAGE_MARKS) -> list[Share]:
+def split_secret(secret: str) -> list[Share]:
     """Split a bit string into consecutive 3-bit shares.
 
     Every chunk must belong to the message alphabet; the protocol only ever
-    encodes message marks, so arbitrary chunks are rejected by default.
-    Pass a wider ``message_set`` to lift the restriction for experiments.
+    encodes message marks, so arbitrary chunks are rejected.
     """
     if not secret or any(c not in "01" for c in secret):
         raise ValueError(f"secret must be a non-empty bit string, got {secret!r}")
@@ -115,7 +114,7 @@ def split_secret(secret: str, message_set: frozenset[str] = MESSAGE_MARKS) -> li
     shares = []
     for i in range(0, len(secret), 3):
         chunk = secret[i : i + 3]
-        if chunk not in message_set:
+        if chunk not in MESSAGE_MARKS:
             raise ValueError(f"chunk {chunk!r} is outside the message set")
         shares.append(Share(chunk))
     return shares
@@ -181,7 +180,6 @@ def run_session(
     schedule: list[dict] | None = None,
     seed: int = 0,
     measurement_mode: str = "top",
-    message_set: frozenset[str] = MESSAGE_MARKS,
 ) -> SessionResult:
     """Run a full session: message rounds carrying shares, interleaved with
     dealer-chosen cheat-detect rounds.
@@ -192,7 +190,7 @@ def run_session(
     default the schedule is one cheat-detect round followed by the message
     rounds.  Aborts at the first rejected verdict.
     """
-    shares = split_secret(secret, message_set)
+    shares = split_secret(secret)
     if schedule is None:
         schedule = [{"kind": "cheat_detect"}] + [{"kind": "message"}] * len(shares)
     if sum(1 for e in schedule if e["kind"] == "message") != len(shares):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -288,6 +289,48 @@ def test_entangle_measure_control_positions():
             assert (np.abs(s.amps) ** 2).sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         entangle_measure(control_qubit=4)
+
+
+def _kron(*ops):
+    return functools.reduce(np.kron, ops)
+
+
+I2, X = np.eye(2), np.array([[0, 1], [1, 0]])
+P0, P1 = np.diag([1, 0]), np.diag([0, 1])
+LABELS = [format(i, "03b") for i in range(8)]
+
+
+@pytest.mark.parametrize("control", [1, 2, 3])
+def test_entangle_measure_matches_kron_reference(control):
+    # Reference built from full 16x16 operators on qubits (1, 2, 3, ancilla).
+    ops0, ops1 = [I2] * 4, [I2, I2, I2, X]
+    ops0[control - 1], ops1[control - 1] = P0, P1
+    cnot = _kron(*ops0) + _kron(*ops1)
+    for k in range(1, 65):
+        sk = initial_state(k).amps
+        diffusion = _kron(2 * np.outer(sk, sk.conj()) - np.eye(8), I2)
+        for m in LABELS:
+            encoded = sk.copy()
+            encoded[int(m, 2)] *= -1
+            entangled = cnot @ _kron(encoded, [1, 0])
+            diffused = diffusion @ entangled
+            marg = (np.abs(diffused) ** 2).reshape(8, 2).sum(axis=1)
+            M = LABELS[min(np.flatnonzero(marg >= marg.max() - 1e-12))]
+            mark = np.eye(8)
+            mark[int(M, 2), int(M, 2)] = -1
+            after_oracle = _kron(mark, I2) @ diffused
+            final = (np.abs(after_oracle) ** 2).reshape(8, 2).sum(axis=1)
+
+            report = entangle_measure(k, m, control)
+            states = dict(report.intermediate_states)
+            assert report.details["M"] == M, (k, m)
+            for name, want in [
+                ("after_entangling_cnot", entangled),
+                ("after_first_diffusion", diffused),
+                ("after_mark_oracle", after_oracle),
+            ]:
+                assert np.max(np.abs(states[name].amps - want)) <= 1e-12, (k, m, name)
+            assert np.max(np.abs(report.outcome_dist - final)) <= 1e-12, (k, m)
 
 
 def test_marginal_over_ancilla():

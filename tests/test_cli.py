@@ -153,3 +153,19 @@ def test_tables_byte_identical(capsys):
     _, out1, err1 = run_cli(capsys, "tables", "--which", "1", "--format", "markdown")
     _, out2, err2 = run_cli(capsys, "tables", "--which", "1", "--format", "markdown")
     assert out1 == out2 and err1 == err2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("attack", "resend", "--seed", "3"),
+        ("attack", "resend", "--format", "csv"),
+        ("protocol", "{cfg}", "--format", "json"),
+        ("sample", "--format", "markdown"),
+    ],
+)
+def test_flags_without_effect_are_rejected(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"secret": "110011101", "seed": 5}))
+    code, out, _ = run_cli(capsys, *(a.format(cfg=cfg) for a in argv))
+    assert code == 2 and out == ""

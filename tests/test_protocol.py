@@ -34,15 +34,6 @@ def test_split_secret_bad_length():
         split_secret("1100")
 
 
-def test_split_secret_widened_alphabet():
-    wide = frozenset(format(i, "03b") for i in range(8))
-    assert [s.bits for s in split_secret("110111101", message_set=wide)] == [
-        "110",
-        "111",
-        "101",
-    ]
-
-
 def test_share_validation():
     with pytest.raises(ValueError):
         Share("11")
