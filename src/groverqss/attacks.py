@@ -48,8 +48,8 @@ class Claim:
     matches: bool
 
     @staticmethod
-    def compare(name: str, derived: float, claimed: float, tol: float = 1e-9) -> "Claim":
-        return Claim(name, float(derived), float(claimed), abs(derived - claimed) <= tol)
+    def compare(name: str, derived: float, claimed: float) -> "Claim":
+        return Claim(name, float(derived), float(claimed), abs(derived - claimed) <= 1e-9)
 
 
 @dataclass
@@ -93,7 +93,7 @@ class AttackReport:
 
 
 def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
+    return float(f"{x:.12g}") + 0.0  # + 0.0 maps -0.0 to 0.0
 
 
 def lie_attack(true_m: str, flips: frozenset[str] | set[str]) -> AttackReport:
@@ -102,6 +102,8 @@ def lie_attack(true_m: str, flips: frozenset[str] | set[str]) -> AttackReport:
     ``flips`` names the lying participants among P1/P2/P3 (participant Pi
     holds qubit i and flips its reported bit).
     """
+    if len(true_m) != 3 or set(true_m) - {"0", "1"}:
+        raise ValueError(f"mark must be a 3-bit label, got {true_m!r}")
     positions = {"P1": 0, "P2": 1, "P3": 2}
     unknown = set(flips) - positions.keys()
     if unknown:
@@ -372,9 +374,7 @@ def marginal_over_ancilla(s: StateVector) -> np.ndarray:
     return distribution(s).reshape(8, 2).sum(axis=1)
 
 
-def entangle_measure(
-    k: int = 1, m: str = "110", control_qubit: int = 1, M: str | None = None
-) -> AttackReport:
+def entangle_measure(k: int = 1, m: str = "110", control_qubit: int = 1) -> AttackReport:
     """Ancilla-coupling attack: CNOT onto a fresh |0> ancilla, then decode.
 
     Records the three displayed intermediates: the entangled state, the
@@ -389,16 +389,13 @@ def entangle_measure(
         raise ValueError(f"control qubit must be 1..3, got {control_qubit}")
     # After the CNOT, ancilla value b sits on exactly the amplitudes whose
     # control bit is b, and U x I acts on each such branch as the 3-qubit U.
-    # Adding 0 turns -0.0 into 0.0, as summing onto the fresh ancilla does.
     control = (np.arange(8) >> (3 - control_qubit)) & 1
-    branches = [StateVector(3, np.where(control == b, encoded.amps, 0) + 0) for b in (0, 1)]
+    branches = [StateVector(3, np.where(control == b, encoded.amps, 0)) for b in (0, 1)]
     entangled = _with_ancilla(branches)
     sk = initial_state(k)
     branches = [diffusion_apply(s, sk) for s in branches]
     after_diffusion = _with_ancilla(branches)
-    if M is None:
-        marg = marginal_over_ancilla(after_diffusion)
-        M = index_to_label(int(np.argmax(marg)), 3)
+    M = argmax_labels(marginal_over_ancilla(after_diffusion), 3)[0]
     after_oracle = _with_ancilla([oracle_apply(s, M) for s in branches])
     final_marginal = marginal_over_ancilla(after_oracle)
     detect = float(sum(final_marginal[label_to_index(c)] for c in sorted(CHEAT_DETECT_MARKS)))

@@ -351,15 +351,17 @@ _PUBLISHED_TABLE2_TEXT = """\
 """
 
 
-def published_table1() -> list[TableRow]:
+def _published(text: str) -> list[TableRow]:
+    """Rows of an embedded published table; table 2 has no phase-1 columns."""
     rows = []
-    for line in _PUBLISHED_TABLE1_TEXT.strip().splitlines():
-        k, p1set, p1, m, fset, fp = line.split("|")
+    for line in text.strip().splitlines():
+        k, *phase1, fset, fp = line.split("|")
+        p1set, p1, m = phase1 or (None, None, None)
         rows.append(
             TableRow(
                 k=int(k),
-                phase1_outcomes=frozenset(p1set.split(",")),
-                phase1_prob=float(p1),
+                phase1_outcomes=None if p1set is None else frozenset(p1set.split(",")),
+                phase1_prob=None if p1 is None else float(p1),
                 chosen_M=m,
                 final_outcomes=frozenset(fset.split(",")),
                 final_prob=float(fp),
@@ -368,21 +370,12 @@ def published_table1() -> list[TableRow]:
     return rows
 
 
+def published_table1() -> list[TableRow]:
+    return _published(_PUBLISHED_TABLE1_TEXT)
+
+
 def published_table2() -> list[TableRow]:
-    rows = []
-    for line in _PUBLISHED_TABLE2_TEXT.strip().splitlines():
-        k, fset, fp = line.split("|")
-        rows.append(
-            TableRow(
-                k=int(k),
-                phase1_outcomes=None,
-                phase1_prob=None,
-                chosen_M=None,
-                final_outcomes=frozenset(fset.split(",")),
-                final_prob=float(fp),
-            )
-        )
-    return rows
+    return _published(_PUBLISHED_TABLE2_TEXT)
 
 
 def diff_table(computed: list[TableRow], reference: list[TableRow]) -> list[dict]:

@@ -34,17 +34,20 @@ def _fail_usage(msg: str) -> int:
 
 
 def cmd_tables(args) -> int:
+    M = "110" if args.M is None else args.M
     try:
         if args.which == 1:
+            if args.M is not None:
+                raise ValueError("--M forces the mark of table 2 only")
             rows = catalog.generate_table1(enc_k=args.enc_k, m=args.m)
             reference = catalog.published_table1()
         else:
-            rows = catalog.generate_table2(enc_k=args.enc_k, m=args.m, M=args.M)
+            rows = catalog.generate_table2(enc_k=args.enc_k, m=args.m, M=M)
             reference = catalog.published_table2()
     except ValueError as e:
         return _fail_usage(str(e))
     rendered = catalog.render_table(rows, args.format)
-    default_config = args.enc_k == 1 and args.m == "110" and (args.which == 1 or args.M == "110")
+    default_config = args.enc_k == 1 and args.m == "110" and M == "110"
     diff = catalog.diff_table(rows, reference) if default_config else []
     try:
         _emit(rendered, args.out)
@@ -76,23 +79,17 @@ def cmd_protocol(args) -> int:
     return EXIT_OK if result.verdict == "accept" else EXIT_FINDING
 
 
+def _intercept(args) -> attacks.AttackReport:
+    if args.k_guess is not None:
+        return attacks.intercept_wrong_op(args.k_true, args.m, args.k_guess, M_guess=args.M)
+    if args.M is not None:
+        raise ValueError("--M forces the mark of a --k-guess decode only")
+    return attacks.intercept_enumeration(args.k_true, args.m)
+
+
 def cmd_attack(args) -> int:
     try:
-        if args.kind == "lie":
-            report = attacks.lie_attack(args.m, frozenset(args.flips or ()))
-        elif args.kind == "intercept":
-            if args.k_guess is not None:
-                report = attacks.intercept_wrong_op(
-                    args.k_true, args.m, args.k_guess, M_guess=args.M
-                )
-            else:
-                report = attacks.intercept_enumeration(args.k_true, args.m)
-        elif args.kind == "resend":
-            report = attacks.intercept_resend_analysis()
-        else:
-            report = attacks.entangle_measure(
-                k=args.k_true, m=args.m, control_qubit=args.control
-            )
+        report = args.analysis(args)
     except ValueError as e:
         return _fail_usage(str(e))
     _emit(report.to_json(), args.out)
@@ -146,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", type=int, choices=(1, 2), required=True)
     p.add_argument("--enc-k", type=int, default=1, dest="enc_k")
     p.add_argument("--m", default="110")
-    p.add_argument("--M", default="110")
+    p.add_argument("--M", default=None, help="forced mark of table 2 (default 110)")
     p.add_argument("--format", choices=("csv", "json", "markdown"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tables)
@@ -158,16 +155,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("attack", help="run one of the four attack analyses")
-    p.add_argument("kind", choices=("lie", "intercept", "resend", "entangle"))
-    p.add_argument("--m", default="110")
-    p.add_argument("--flips", nargs="*", default=None, metavar="P",
-                   help="lying participants, e.g. P1 P2")
-    p.add_argument("--k-true", type=int, default=1, dest="k_true")
-    p.add_argument("--k-guess", type=int, default=None, dest="k_guess")
-    p.add_argument("--M", default=None)
-    p.add_argument("--control", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_attack)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    lie = kinds.add_parser("lie", help="participants misreport their measured bits")
+    lie.add_argument("--m", default="110")
+    lie.add_argument("--flips", nargs="*", default=None, metavar="P",
+                     help="lying participants, e.g. P1 P2")
+    lie.set_defaults(analysis=lambda a: attacks.lie_attack(a.m, frozenset(a.flips or ())))
+    intercept = kinds.add_parser("intercept", help="decode with a guessed catalog state")
+    intercept.add_argument("--k-true", type=int, default=1, dest="k_true")
+    intercept.add_argument("--m", default="110")
+    intercept.add_argument("--k-guess", type=int, default=None, dest="k_guess")
+    intercept.add_argument("--M", default=None, help="forced mark of the --k-guess decode")
+    intercept.set_defaults(analysis=_intercept)
+    resend = kinds.add_parser("resend", help="intercept-resend detection fractions")
+    resend.set_defaults(analysis=lambda a: attacks.intercept_resend_analysis())
+    entangle = kinds.add_parser("entangle", help="couple an ancilla with a CNOT, then decode")
+    entangle.add_argument("--k-true", type=int, default=1, dest="k_true")
+    entangle.add_argument("--m", default="110")
+    entangle.add_argument("--control", type=int, default=1)
+    entangle.set_defaults(analysis=lambda a: attacks.entangle_measure(a.k_true, a.m, a.control))
+    for kind in (lie, intercept, resend, entangle):
+        kind.add_argument("--out", default=None)
 
     p = sub.add_parser("sample", help="shot-sample the decode pipeline for (k, m)")
     p.add_argument("--k", type=int, default=1)

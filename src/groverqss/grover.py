@@ -59,10 +59,10 @@ def encode(initial: StateVector, m: str) -> StateVector:
     return oracle_apply(initial, m)
 
 
-def argmax_labels(dist: np.ndarray, num_qubits: int, tol: float = ARGMAX_TOL) -> list[str]:
+def argmax_labels(dist: np.ndarray, num_qubits: int) -> list[str]:
     """All outcome labels tied at the maximum probability, sorted."""
-    top = float(dist.max())
-    return [index_to_label(i, num_qubits) for i in range(len(dist)) if dist[i] >= top - tol]
+    floor = float(dist.max()) - ARGMAX_TOL
+    return [index_to_label(i, num_qubits) for i in range(len(dist)) if dist[i] >= floor]
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,10 @@ def decode_phase2(
 
 
 def collective_op(
-    encoded: StateVector, initial: StateVector, choose: str | None = None
+    encoded: StateVector, initial: StateVector
 ) -> tuple[DecodePhase1Result, StateVector, np.ndarray]:
     """Full decode pipeline U_{S_k}, U_M, U_{S_k}; returns all intermediates."""
-    phase1 = decode_phase1(encoded, initial, choose=choose)
+    phase1 = decode_phase1(encoded, initial)
     final, dist = decode_phase2(phase1.state, phase1.chosen_M, initial)
     return phase1, final, dist
 

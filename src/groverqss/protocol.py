@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state
-from .grover import collective_op, encode, sample
+from .grover import argmax_labels, collective_op, encode, sample
 from .statevec import validate_label
 
 PARTICIPANTS = ("P1", "P2", "P3")
 
-#: Local measurement modes: "top" reads off the final argmax outcome
-#: deterministically; "sampled" draws a single seeded shot from the final
+#: Local measurement modes: "top" reads off the smallest label of the final
+#: argmax set; "sampled" draws a single seeded shot from the final
 #: distribution, exposing the ~1 - 0.945 failure channel.
 MEASUREMENT_MODES = ("top", "sampled")
 
@@ -133,7 +133,7 @@ def run_round(cfg: RoundConfig) -> ProtocolTranscript:
 
     phase1, final, fdist = collective_op(encoded, initial_state(cfg.k))
     if cfg.measurement_mode == "top":
-        outcome = _top_label(fdist)
+        outcome = argmax_labels(fdist, 3)[0]
     else:
         counts = sample(final, 1, cfg.seed)
         (outcome,) = counts.counts.keys()
@@ -157,10 +157,6 @@ def run_round(cfg: RoundConfig) -> ProtocolTranscript:
     verdict, reason = dealer_verify(t, cfg.marked)
     t.add("verdict", verdict=verdict, reason=reason)
     return t
-
-
-def _top_label(dist) -> str:
-    return format(int(np.argmax(dist)), "03b")
 
 
 def dealer_verify(t: ProtocolTranscript, expected_marked: str) -> tuple[str, str]:
@@ -228,8 +224,13 @@ def run_session(
 def load_session_config(path: str | Path) -> dict:
     """Read a session config JSON: secret, schedule, seed, measurement mode."""
     cfg = json.loads(Path(path).read_text())
-    if "secret" not in cfg:
-        raise ValueError("session config must contain a 'secret' field")
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("secret"), str):
+        raise ValueError("session config must be an object with a string 'secret' field")
+    schedule = cfg.get("schedule")
+    if schedule is not None and not (
+        isinstance(schedule, list) and all(isinstance(e, dict) and "kind" in e for e in schedule)
+    ):
+        raise ValueError("session 'schedule' must be a list of objects, each with a 'kind'")
     return cfg
 
 

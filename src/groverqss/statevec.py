@@ -103,13 +103,10 @@ class StateVector:
         )
 
 
-def state(amps, num_qubits: int | None = None) -> StateVector:
-    """Build a StateVector from a raw amplitude sequence."""
+def state(amps) -> StateVector:
+    """Build a StateVector from a raw amplitude sequence of length 2**n."""
     amps = np.asarray(amps, dtype=np.complex128)
-    if num_qubits is None:
-        n = int(amps.shape[0]).bit_length() - 1
-        num_qubits = n
-    return StateVector(num_qubits, amps)
+    return StateVector(int(amps.shape[0]).bit_length() - 1, amps)
 
 
 def basis_state(label: str) -> StateVector:

@@ -348,3 +348,23 @@ def test_report_json_round_trip():
     # amplitudes are (re, im) pairs at 12 significant digits
     amp = doc["intermediate_states"][0]["amplitudes"][0]
     assert amp == [0.353553390593, 0.0]
+
+
+def _json_floats(x):
+    if isinstance(x, float):
+        yield x
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _json_floats(v)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _json_floats(v)
+
+
+@pytest.mark.parametrize("control", [1, 2, 3])
+def test_entangle_report_json_has_no_signed_zero(control):
+    for k in range(1, 65):
+        for m in LABELS:
+            doc = json.loads(entangle_measure(k, m, control).to_json())
+            negative_zeros = [x for x in _json_floats(doc) if x == 0 and np.signbit(x)]
+            assert not negative_zeros, (k, m)

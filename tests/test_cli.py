@@ -162,6 +162,23 @@ def test_tables_byte_identical(capsys):
         ("attack", "resend", "--format", "csv"),
         ("protocol", "{cfg}", "--format", "json"),
         ("sample", "--format", "markdown"),
+        ("attack", "lie", "--k-true", "7"),
+        ("attack", "lie", "--k-guess", "5"),
+        ("attack", "lie", "--M", "000"),
+        ("attack", "lie", "--control", "3"),
+        ("attack", "intercept", "--flips", "P1"),
+        ("attack", "intercept", "--control", "3"),
+        ("attack", "resend", "--m", "011"),
+        ("attack", "resend", "--flips", "P1"),
+        ("attack", "resend", "--k-true", "7"),
+        ("attack", "resend", "--k-guess", "5"),
+        ("attack", "resend", "--M", "000"),
+        ("attack", "resend", "--control", "3"),
+        ("attack", "entangle", "--flips", "P1"),
+        ("attack", "entangle", "--k-guess", "5"),
+        ("attack", "entangle", "--M", "000"),
+        ("tables", "--which", "1", "--M", "000"),
+        ("attack", "intercept", "--M", "000"),
     ],
 )
 def test_flags_without_effect_are_rejected(argv, tmp_path, capsys):
@@ -169,3 +186,28 @@ def test_flags_without_effect_are_rejected(argv, tmp_path, capsys):
     cfg.write_text(json.dumps({"secret": "110011101", "seed": 5}))
     code, out, _ = run_cli(capsys, *(a.format(cfg=cfg) for a in argv))
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("mark", ["11", "xyz"])
+def test_attack_lie_rejects_a_mark_that_is_not_3_bits(mark, capsys):
+    code, out, err = run_cli(capsys, "attack", "lie", "--m", mark, "--flips", "P3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"secret": 110},
+        {"secret": "110", "schedule": "x"},
+        {"secret": "110", "schedule": [{"liars": ["P1"]}]},
+        {"secret": "110", "schedule": [1]},
+        5,
+    ],
+)
+def test_malformed_session_config_is_a_usage_error(cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "protocol", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
