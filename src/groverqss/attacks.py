@@ -26,6 +26,7 @@ from .grover import (
     oracle_apply,
 )
 from .statevec import (
+    PHASES,
     StateVector,
     basis_state,
     distribution,
@@ -263,12 +264,8 @@ def sign_flip_basis() -> MeasurementBasis:
     state i negated.  Pairwise overlaps are 1/2, so this is NOT an
     orthonormal basis despite being offered as one.
     """
-    vecs = []
-    for i in range(8):
-        amps = np.full(8, 1 / np.sqrt(8), dtype=np.complex128)
-        amps[i] *= -1
-        vecs.append(state(amps))
-    return MeasurementBasis(tuple(vecs))
+    patterns = (" ".join("-" if j == i else "+" for j in range(8)) for i in range(8))
+    return MeasurementBasis(tuple(phase_pattern_vector(p) for p in patterns))
 
 
 # Phase patterns of the second published basis, transcribed literally
@@ -284,15 +281,12 @@ _PHASE_BASIS_PATTERNS = (
     "- - + + -i -i +i +i",
 )
 
-_PHASE = {"+": 1, "-": -1, "+i": 1j, "-i": -1j}
-
-
 def phase_pattern_vector(pattern: str) -> StateVector:
     """Uniform-magnitude 3-qubit vector from eight +, -, +i, -i symbols."""
     symbols = pattern.split()
     if len(symbols) != 8:
         raise ValueError("pattern must list eight phase symbols")
-    amps = np.array([_PHASE[s] for s in symbols], dtype=np.complex128) / np.sqrt(8)
+    amps = np.array([PHASES[s] for s in symbols], dtype=np.complex128) / np.sqrt(8)
     return state(amps)
 
 

@@ -8,8 +8,6 @@ them, disagreements are reported as findings.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -417,46 +415,33 @@ def _row_dict(row: TableRow) -> dict:
     }
 
 
+_TABLE_HEADER = ["k", "phase1_outcomes", "phase1_p", "M", "final_outcomes", "final_p"]
+
+
+def _cells(d: dict, blank: str) -> list[str]:
+    """One table row as text cells, with ``blank`` where a row has no value."""
+    return [
+        str(d["k"]),
+        " ".join(d["phase1_outcomes"]) if d["phase1_outcomes"] else blank,
+        blank if d["phase1_p"] is None else f"{d['phase1_p']:.3f}",
+        d["M"] or blank,
+        " ".join(d["final_outcomes"]),
+        f"{d['final_p']:.3f}",
+    ]
+
+
 def render_table(rows: list[TableRow], fmt: str) -> str:
     """Serialize table rows as csv, json or aligned markdown."""
     dicts = [_row_dict(r) for r in rows]
     if fmt == "json":
         return json.dumps(dicts, indent=2) + "\n"
+    if fmt not in ("csv", "markdown"):
+        raise ValueError(f"unknown format {fmt!r}")
+    cells = [_TABLE_HEADER, *(_cells(d, "" if fmt == "csv" else "-") for d in dicts)]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "phase1_outcomes", "phase1_p", "M", "final_outcomes", "final_p"])
-        for d in dicts:
-            writer.writerow(
-                [
-                    d["k"],
-                    " ".join(d["phase1_outcomes"]) if d["phase1_outcomes"] else "",
-                    "" if d["phase1_p"] is None else f"{d['phase1_p']:.3f}",
-                    d["M"] or "",
-                    " ".join(d["final_outcomes"]),
-                    f"{d['final_p']:.3f}",
-                ]
-            )
-        return buf.getvalue()
-    if fmt == "markdown":
-        headers = ["k", "phase1_outcomes", "phase1_p", "M", "final_outcomes", "final_p"]
-        cells = [
-            [
-                str(d["k"]),
-                " ".join(d["phase1_outcomes"]) if d["phase1_outcomes"] else "-",
-                "-" if d["phase1_p"] is None else f"{d['phase1_p']:.3f}",
-                d["M"] or "-",
-                " ".join(d["final_outcomes"]),
-                f"{d['final_p']:.3f}",
-            ]
-            for d in dicts
-        ]
-        widths = [max(len(h), *(len(row[i]) for row in cells)) for i, h in enumerate(headers)]
-        lines = [
-            "| " + " | ".join(h.ljust(w) for h, w in zip(headers, widths)) + " |",
-            "| " + " | ".join("-" * w for w in widths) + " |",
-        ]
-        for row in cells:
-            lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        # Cells hold only digits, bit labels and spaces, so none needs csv quoting.
+        return "".join(",".join(row) + "\n" for row in cells)
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = ["| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |" for row in cells]
+    lines.insert(1, "| " + " | ".join("-" * w for w in widths) + " |")
+    return "\n".join(lines) + "\n"

@@ -28,31 +28,20 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _fail_usage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def cmd_tables(args) -> int:
     M = "110" if args.M is None else args.M
-    try:
-        if args.which == 1:
-            if args.M is not None:
-                raise ValueError("--M forces the mark of table 2 only")
-            rows = catalog.generate_table1(enc_k=args.enc_k, m=args.m)
-            reference = catalog.published_table1()
-        else:
-            rows = catalog.generate_table2(enc_k=args.enc_k, m=args.m, M=M)
-            reference = catalog.published_table2()
-    except ValueError as e:
-        return _fail_usage(str(e))
+    if args.which == 1:
+        if args.M is not None:
+            raise ValueError("--M forces the mark of table 2 only")
+        rows = catalog.generate_table1(enc_k=args.enc_k, m=args.m)
+        reference = catalog.published_table1()
+    else:
+        rows = catalog.generate_table2(enc_k=args.enc_k, m=args.m, M=M)
+        reference = catalog.published_table2()
     rendered = catalog.render_table(rows, args.format)
     default_config = args.enc_k == 1 and args.m == "110" and M == "110"
     diff = catalog.diff_table(rows, reference) if default_config else []
-    try:
-        _emit(rendered, args.out)
-    except OSError as e:
-        return _fail_usage(str(e))
+    _emit(rendered, args.out)
     if not default_config:
         print("note: non-default parameters, no published reference to diff against",
               file=sys.stderr)
@@ -63,13 +52,10 @@ def cmd_tables(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    try:
-        cfg = protocol.load_session_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        result = protocol.run_session_from_config(cfg)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
-        return _fail_usage(str(e))
+    cfg = protocol.load_session_config(args.config)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    result = protocol.run_session_from_config(cfg)
     doc = {
         "verdict": result.verdict,
         "recovered_secret": result.recovered_secret,
@@ -88,23 +74,14 @@ def _intercept(args) -> attacks.AttackReport:
 
 
 def cmd_attack(args) -> int:
-    try:
-        report = args.analysis(args)
-    except ValueError as e:
-        return _fail_usage(str(e))
-    _emit(report.to_json(), args.out)
+    _emit(args.analysis(args).to_json(), args.out)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    try:
-        if args.shots < 1:
-            raise ValueError("shots must be >= 1")
-        encoded = grover.encode(catalog.initial_state(args.k), args.m)
-        _, final, dist = grover.collective_op(encoded, catalog.initial_state(args.k))
-        counts = grover.sample(final, args.shots, args.seed)
-    except ValueError as e:
-        return _fail_usage(str(e))
+    s_k = catalog.initial_state(args.k)
+    _, final, dist = grover.collective_op(grover.encode(s_k, args.m), s_k)
+    counts = grover.sample(final, args.shots, args.seed)
     labels = [format(i, "03b") for i in range(8)]
     doc = {
         "k": args.k,
@@ -197,7 +174,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         # argparse exits with 2 on usage errors already
         return int(e.code) if e.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -124,14 +124,15 @@ def run_round(cfg: RoundConfig) -> ProtocolTranscript:
     """Execute one protocol round and return its transcript."""
     t = ProtocolTranscript()
     t.add("prepare", k=cfg.k, round_kind=cfg.round_kind)
-    encoded = encode(initial_state(cfg.k), cfg.marked)
+    s_k = initial_state(cfg.k)
+    encoded = encode(s_k, cfg.marked)
     for i, p in enumerate(PARTICIPANTS, start=1):
         t.add("distribute", qubit=i, participant=p)
     for p in PARTICIPANTS:
         t.add("ack", participant=p)
     t.add("announce", k=cfg.k)
 
-    phase1, final, fdist = collective_op(encoded, initial_state(cfg.k))
+    phase1, final, fdist = collective_op(encoded, s_k)
     if cfg.measurement_mode == "top":
         outcome = argmax_labels(fdist, 3)[0]
     else:
@@ -222,22 +223,47 @@ def run_session(
 
 
 def load_session_config(path: str | Path) -> dict:
-    """Read a session config JSON: secret, schedule, seed, measurement mode."""
+    """Read a session config JSON: secret, schedule, seed, measurement mode.
+
+    This is the config's one type check; its values are checked where they
+    are used (``split_secret``, ``run_session``, ``RoundConfig``).
+    """
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict) or not isinstance(cfg.get("secret"), str):
         raise ValueError("session config must be an object with a string 'secret' field")
+    _known_keys(cfg, {"secret", "schedule", "seed", "measurement_mode"}, "session config")
+    seed = cfg.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"session 'seed' must be an integer, got {seed!r}")
     schedule = cfg.get("schedule")
     if schedule is not None and not (
         isinstance(schedule, list) and all(isinstance(e, dict) and "kind" in e for e in schedule)
     ):
         raise ValueError("session 'schedule' must be a list of objects, each with a 'kind'")
+    for entry in schedule or ():
+        keys = {"kind", "liars", "no_declaration"}
+        if entry["kind"] == "cheat_detect":
+            keys.add("marked")
+        _known_keys(entry, keys, f"{entry['kind']!r} schedule entry")
+        if not isinstance(entry.get("marked", ""), str):
+            raise ValueError("schedule entry 'marked' must be a string")
+        for key in ("liars", "no_declaration"):
+            names = entry.get(key, [])
+            if not (isinstance(names, list) and all(isinstance(p, str) for p in names)):
+                raise ValueError(f"schedule entry {key!r} must be a list of participant names")
     return cfg
+
+
+def _known_keys(obj: dict, allowed: set[str], where: str):
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {unknown}")
 
 
 def run_session_from_config(cfg: dict) -> SessionResult:
     return run_session(
         secret=cfg["secret"],
         schedule=cfg.get("schedule"),
-        seed=int(cfg.get("seed", 0)),
+        seed=cfg.get("seed", 0),
         measurement_mode=cfg.get("measurement_mode", "top"),
     )

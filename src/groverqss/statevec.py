@@ -33,12 +33,8 @@ class EigenAxis(Enum):
     MINUS_I = "-i"
 
 
-_EIGEN_AMPS = {
-    EigenAxis.PLUS: (1 / _SQRT2, 1 / _SQRT2),
-    EigenAxis.MINUS: (1 / _SQRT2, -1 / _SQRT2),
-    EigenAxis.PLUS_I: (1 / _SQRT2, 1j / _SQRT2),
-    EigenAxis.MINUS_I: (1 / _SQRT2, -1j / _SQRT2),
-}
+#: Relative phase of each eigenstate symbol: |axis> = (|0> + PHASES[axis]|1>)/sqrt 2.
+PHASES = {"+": 1, "-": -1, "+i": 1j, "-i": -1j}
 
 
 def validate_label(label: str) -> str:
@@ -119,7 +115,7 @@ def basis_state(label: str) -> StateVector:
 
 def eigen_vector(axis: EigenAxis) -> StateVector:
     """One-qubit eigenstate |+>, |->, |+i> or |-i>."""
-    return StateVector(1, np.array(_EIGEN_AMPS[axis], dtype=np.complex128))
+    return StateVector(1, np.array([1, PHASES[axis.value]], dtype=np.complex128) / _SQRT2)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

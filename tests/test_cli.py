@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from groverqss.cli import main
 
@@ -203,11 +205,132 @@ def test_attack_lie_rejects_a_mark_that_is_not_3_bits(mark, capsys):
         {"secret": "110", "schedule": [{"liars": ["P1"]}]},
         {"secret": "110", "schedule": [1]},
         5,
+        {"secret": "110", "seed": [1]},
+        {"secret": "110", "seed": "5"},
+        {"secret": "110", "seed": 5.7},
+        {"secret": "110", "seed": True},
+        {"secret": "110", "schedule": [{"kind": "cheat_detect", "marked": [1]},
+                                       {"kind": "message"}]},
+        {"secret": "110", "schedule": [{"kind": "message", "liars": 5}]},
+        {"secret": "110", "schedule": [{"kind": "message", "liar": ["P1"]}]},
+        {"secret": "110", "schedule": [{"kind": "message", "marked": "111"}]},
+        {"secret": "110", "measurment_mode": "sampled"},
     ],
 )
 def test_malformed_session_config_is_a_usage_error(cfg, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code, out, err = run_cli(capsys, "protocol", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def work_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli")
+    (path / "cfg.json").write_text(json.dumps({"secret": "110011101", "seed": 5}))
+    return path
+
+
+# Any JSON value; the config fuzz mixes these with well-formed fields so that
+# most examples get past the first check.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+names = st.lists(st.sampled_from(["P1", "P2", "P3", "P4"]), max_size=3)
+schedule_entries = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["message", "cheat_detect", "other"]) | json_values},
+    optional={
+        "liars": names | json_values,
+        "no_declaration": names | json_values,
+        "marked": st.sampled_from(["000", "111", "110", "01"]) | json_values,
+        "liar": names,
+    },
+)
+session_configs = json_values | st.fixed_dictionaries(
+    {"secret": st.sampled_from(["110", "110011", "011101110", "11", "120", ""]) | json_values},
+    optional={
+        "seed": st.integers(min_value=-2, max_value=2**40) | json_values,
+        "measurement_mode": st.sampled_from(["top", "sampled"]) | json_values,
+        "schedule": st.lists(schedule_entries, max_size=4) | json_values,
+        "measurment_mode": st.just("sampled"),
+    },
+)
+
+
+def assert_clean_exit(code, out, err):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and "Traceback" not in err
+
+
+@given(cfg=session_configs)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_session_config_exits_cleanly(cfg, work_dir, capsys):
+    path = work_dir / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    assert_clean_exit(*run_cli(capsys, "protocol", str(path)))
+
+
+labels = st.sampled_from(["000", "110", "011", "111", "11", "1101", "xyz", ""])
+ints = st.integers(min_value=-3, max_value=70).map(str) | st.sampled_from(["x", "1.5", ""])
+outs = st.sampled_from(["{dir}/out.txt", "/nonexistent/x"])
+FLAGS = {
+    ("tables",): {"--which": st.sampled_from(["1", "2", "3"]), "--enc-k": ints,
+                  "--m": labels, "--M": labels, "--out": outs,
+                  "--format": st.sampled_from(["csv", "json", "markdown", "yaml"])},
+    ("protocol", "{dir}/cfg.json"): {"--seed": ints, "--out": outs},
+    ("attack", "lie"): {"--m": labels, "--flips": st.sampled_from(["P1", "P4", "P1 P3"]),
+                        "--out": outs},
+    ("attack", "intercept"): {"--k-true": ints, "--m": labels, "--k-guess": ints,
+                              "--M": labels, "--out": outs},
+    ("attack", "resend"): {"--out": outs},
+    ("attack", "entangle"): {"--k-true": ints, "--m": labels, "--control": ints,
+                             "--out": outs},
+    ("sample",): {"--k": ints, "--m": labels, "--seed": ints, "--out": outs,
+                  "--shots": st.integers(min_value=-1, max_value=10**4).map(str),
+                  "--format": st.sampled_from(["csv", "json"])},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
+    # Flags come from every subcommand, so some examples use one where it
+    # does not belong.
+    chosen = draw(st.lists(st.sampled_from(sorted({f for fs in FLAGS.values() for f in fs})),
+                           max_size=4, unique=True))
+    argv = list(command)
+    for flag in chosen:
+        argv.append(flag)
+        argv += draw(flags.get(flag, st.just("1"))).split(" ")
+    return argv
+
+
+@given(argv=argvs())
+@example(argv=["attack", "resend", "--out", "/nonexistent/x"])
+@example(argv=["sample", "--out", "/nonexistent/x"])
+@example(argv=["protocol", "{dir}/cfg.json", "--out", "/nonexistent/x"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_argv_exits_cleanly(argv, work_dir, capsys):
+    assert_clean_exit(*run_cli(capsys, *(a.format(dir=work_dir) for a in argv)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("attack", "resend", "--out", "/nonexistent/x"),
+        ("sample", "--out", "/nonexistent/x"),
+        ("protocol", "{dir}/cfg.json", "--out", "/nonexistent/x"),
+    ],
+)
+def test_unwritable_out_is_a_usage_error(argv, work_dir, capsys):
+    code, out, err = run_cli(capsys, *(a.format(dir=work_dir) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
