@@ -131,8 +131,17 @@ def build_state(spec: InitialStateSpec) -> StateVector:
     return tensor(tensor(a, b), c)
 
 
+#: Catalog states built so far, by k; StateVector is frozen and read-only, so
+#: one instance per k is shared by every caller.
+_STATES: dict[int, StateVector] = {}
+
+
 def initial_state(k: int) -> StateVector:
-    return build_state(catalog_entry(k))
+    """The catalog state S_k, built on first use and then shared."""
+    spec = catalog_entry(k)
+    if spec.k not in _STATES:
+        _STATES[spec.k] = build_state(spec)
+    return _STATES[spec.k]
 
 
 def round3(x: float) -> float:

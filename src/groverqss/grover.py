@@ -62,7 +62,7 @@ def encode(initial: StateVector, m: str) -> StateVector:
 def argmax_labels(dist: np.ndarray, num_qubits: int) -> list[str]:
     """All outcome labels tied at the maximum probability, sorted."""
     floor = float(dist.max()) - ARGMAX_TOL
-    return [index_to_label(i, num_qubits) for i in range(len(dist)) if dist[i] >= floor]
+    return [format(i, f"0{num_qubits}b") for i, p in enumerate(dist.tolist()) if p >= floor]
 
 
 @dataclass(frozen=True)

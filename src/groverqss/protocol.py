@@ -228,7 +228,10 @@ def load_session_config(path: str | Path) -> dict:
     This is the config's one type check; its values are checked where they
     are used (``split_secret``, ``run_session``, ``RoundConfig``).
     """
-    cfg = json.loads(Path(path).read_text())
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"session config {path} is nested too deeply to parse") from None
     if not isinstance(cfg, dict) or not isinstance(cfg.get("secret"), str):
         raise ValueError("session config must be an object with a string 'secret' field")
     _known_keys(cfg, {"secret", "schedule", "seed", "measurement_mode"}, "session config")

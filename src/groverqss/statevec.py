@@ -76,7 +76,7 @@ class StateVector:
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         amps = amps.copy()
         amps.setflags(write=False)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import groverqss
+from groverqss import catalog
 from groverqss.catalog import (
     CATALOG,
     CHEAT_DETECT_MARKS,
@@ -46,6 +52,60 @@ def test_catalog_out_of_range():
     for k in (0, 65):
         with pytest.raises(ValueError):
             catalog_entry(k)
+
+
+def test_initial_state_is_built_once_from_build_state():
+    for k in range(1, 65):
+        s = initial_state(k)
+        assert s.amps.tobytes() == build_state(catalog_entry(k)).amps.tobytes()
+        assert initial_state(k) is s
+        with pytest.raises(ValueError):
+            s.amps[0] = 0
+
+
+BAD_K = [(0, ValueError), (65, ValueError), (1.0, TypeError), ("1", TypeError)]
+
+
+@pytest.mark.parametrize("k,error", BAD_K)
+def test_initial_state_rejects_bad_k_with_a_cold_cache(k, error, monkeypatch):
+    monkeypatch.setattr(catalog, "_STATES", {})
+    with pytest.raises(error):
+        initial_state(k)
+    assert catalog._STATES == {}
+
+
+@pytest.mark.parametrize("k,error", BAD_K)
+def test_initial_state_rejects_bad_k_with_a_warm_cache(k, error):
+    for good in range(1, 65):
+        initial_state(good)
+    with pytest.raises(error):
+        initial_state(k)
+
+
+# Counts StateVector.__post_init__ calls with a profile hook, which is set
+# before the package's first import.
+_COUNT_CONSTRUCTS_AT_IMPORT = """
+import sys
+calls = 0
+def profile(frame, event, arg):
+    global calls
+    code = frame.f_code
+    if event == "call" and code.co_name == "__post_init__":
+        calls += code.co_filename.endswith("statevec.py")
+sys.setprofile(profile)
+import groverqss, groverqss.cli
+sys.setprofile(None)
+print(calls)
+"""
+
+
+def test_import_builds_no_state():
+    src = str(Path(groverqss.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", _COUNT_CONSTRUCTS_AT_IMPORT],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["0"]
 
 
 def test_catalog_axes_distinct():

@@ -225,6 +225,15 @@ def test_malformed_session_config_is_a_usage_error(cfg, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_deeply_nested_session_config_is_a_usage_error(tmp_path, capsys):
+    # json.dumps cannot write this nesting depth, so the raw text is written.
+    path = tmp_path / "cfg.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, "protocol", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def work_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from groverqss.catalog import MESSAGE_MARKS, initial_state
 from groverqss.grover import (
+    ARGMAX_TOL,
     argmax_labels,
     collective_op,
     decode_phase1,
@@ -14,7 +15,7 @@ from groverqss.grover import (
     encode,
     oracle_apply,
 )
-from groverqss.statevec import distribution, norm, state
+from groverqss.statevec import distribution, index_to_label, norm, state
 
 
 def random_state(rng, n=3):
@@ -92,3 +93,33 @@ def test_distribution_normalized_across_pipeline():
         k = int(rng.integers(1, 65))
         st1 = diffusion_apply(s, initial_state(k))
         assert distribution(st1).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_argmax_labels(dist, num_qubits):
+    """The validating per-element loop that ``argmax_labels`` replaced."""
+    floor = float(dist.max()) - ARGMAX_TOL
+    return [index_to_label(i, num_qubits) for i in range(len(dist)) if dist[i] >= floor]
+
+
+@st.composite
+def near_tie_distributions(draw):
+    """8- or 16-entry distributions whose entries sit at, just inside or just
+    outside ARGMAX_TOL below a common top."""
+    num_qubits = draw(st.sampled_from([3, 4]))
+    size = 2**num_qubits
+    top = draw(st.floats(min_value=0.01, max_value=1))
+    gaps = st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]).map(lambda g: g * ARGMAX_TOL)
+    entries = st.one_of(st.floats(min_value=0, max_value=1), gaps.map(lambda gap: top - gap))
+    dist = np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+    floor = float(dist.max()) - ARGMAX_TOL
+    # Entries one ulp either side of the cut.
+    for i in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        dist[i] = np.nextafter(floor, draw(st.sampled_from([-np.inf, np.inf])))
+    return dist, num_qubits
+
+
+@given(near_tie_distributions())
+@settings(max_examples=300, deadline=None)
+def test_argmax_labels_matches_the_reference_loop(case):
+    dist, num_qubits = case
+    assert argmax_labels(dist, num_qubits) == reference_argmax_labels(dist, num_qubits)
