@@ -3,17 +3,14 @@ built on a three-qubit Grover search."""
 
 from .statevec import (
     ATOL,
-    EigenAxis,
     StateVector,
     basis_state,
     distribution,
-    eigen_vector,
     index_to_label,
     inner,
     label_to_index,
     norm,
     state,
-    tensor,
 )
 from .grover import (
     DecodePhase1Result,
@@ -28,13 +25,9 @@ from .grover import (
     sample,
 )
 from .catalog import (
-    CATALOG,
     CHEAT_DETECT_MARKS,
     MESSAGE_MARKS,
-    InitialStateSpec,
     TableRow,
-    build_state,
-    catalog_entry,
     diff_table,
     generate_table1,
     generate_table2,
@@ -55,14 +48,12 @@ from .protocol import (
 )
 from .attacks import (
     AttackReport,
-    MeasurementBasis,
     entangle_measure,
     gram_check,
     intercept_enumeration,
     intercept_resend_analysis,
     intercept_wrong_op,
     lie_attack,
-    measure_in_basis,
 )
 
 __version__ = "0.1.0"

@@ -25,18 +25,7 @@ from .grover import (
     encode,
     oracle_apply,
 )
-from .statevec import (
-    PHASES,
-    StateVector,
-    basis_state,
-    distribution,
-    index_to_label,
-    inner,
-    label_to_index,
-    state,
-)
-
-GRAM_TOL = 1e-9
+from .statevec import PHASES, StateVector, distribution, index_to_label, label_to_index
 
 
 @dataclass(frozen=True)
@@ -223,49 +212,36 @@ def intercept_enumeration(k_true: int = 1, m: str = "110") -> AttackReport:
     )
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """A set of equal-dimension vectors offered as a measurement basis."""
+def gram_check(rows: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Gram matrix of vectors given as rows of one common squared norm, and
+    whether it is the identity.
 
-    vectors: tuple[StateVector, ...]
-
-    def __post_init__(self):
-        if not self.vectors:
-            raise ValueError("basis must be non-empty")
-        dims = {v.num_qubits for v in self.vectors}
-        if len(dims) != 1:
-            raise ValueError("basis vectors must share one dimension")
-
-    def gram(self) -> np.ndarray:
-        n = len(self.vectors)
-        g = np.empty((n, n), dtype=np.complex128)
-        for i, a in enumerate(self.vectors):
-            for j, b in enumerate(self.vectors):
-                g[i, j] = inner(a, b)
-        return g
+    Every row here holds Gaussian integers (phases, or 0 and 1), so the
+    product and the division by the squared norm (8 or 1) are exact and the
+    identity test is an equality.
+    """
+    g = rows.conj() @ rows.T
+    g = g / g[0, 0].real
+    return g, bool(np.array_equal(g, np.eye(len(rows))))
 
 
-def gram_check(basis: MeasurementBasis) -> tuple[np.ndarray, bool]:
-    """Gram matrix plus whether it is the identity within tolerance."""
-    g = basis.gram()
-    ortho = bool(np.max(np.abs(g - np.eye(len(basis.vectors)))) <= GRAM_TOL)
-    return g, ortho
+def computational_basis() -> np.ndarray:
+    return np.eye(8, dtype=np.complex128)
 
 
-def computational_basis(num_qubits: int = 3) -> MeasurementBasis:
-    labels = [index_to_label(i, num_qubits) for i in range(2**num_qubits)]
-    return MeasurementBasis(tuple(basis_state(l) for l in labels))
+def _phase_rows(patterns) -> np.ndarray:
+    """One row of +-1/+-i per pattern of eight +, -, +i, -i symbols."""
+    return np.array([[PHASES[s] for s in p.split()] for p in patterns], dtype=np.complex128)
 
 
-def sign_flip_basis() -> MeasurementBasis:
+def sign_flip_basis() -> np.ndarray:
     """The eight uniform vectors with one sign flipped, as published.
 
-    Vector i is (1/sqrt 8) * (|0..0> + ... + |111>) with the sign of basis
-    state i negated.  Pairwise overlaps are 1/2, so this is NOT an
+    Row i is sqrt 8 times published vector i: all phases +1 except the
+    sign of basis state i.  Pairwise overlaps are 1/2, so this is NOT an
     orthonormal basis despite being offered as one.
     """
-    patterns = (" ".join("-" if j == i else "+" for j in range(8)) for i in range(8))
-    return MeasurementBasis(tuple(phase_pattern_vector(p) for p in patterns))
+    return _phase_rows(" ".join("-" if j == i else "+" for j in range(8)) for i in range(8))
 
 
 # Phase patterns of the second published basis, transcribed literally
@@ -281,39 +257,9 @@ _PHASE_BASIS_PATTERNS = (
     "- - + + -i -i +i +i",
 )
 
-def phase_pattern_vector(pattern: str) -> StateVector:
-    """Uniform-magnitude 3-qubit vector from eight +, -, +i, -i symbols."""
-    symbols = pattern.split()
-    if len(symbols) != 8:
-        raise ValueError("pattern must list eight phase symbols")
-    amps = np.array([PHASES[s] for s in symbols], dtype=np.complex128) / np.sqrt(8)
-    return state(amps)
 
-
-def phase_pattern_basis() -> MeasurementBasis:
-    return MeasurementBasis(tuple(phase_pattern_vector(p) for p in _PHASE_BASIS_PATTERNS))
-
-
-def measure_in_basis(s: StateVector, basis: MeasurementBasis, seed: int) -> int:
-    """Projective measurement in an orthonormal basis; seeded outcome index.
-
-    Refuses non-orthonormal vector sets: inventing a POVM for them would
-    exceed what the protocol defines.  Run gram_check for the findings.
-    """
-    g, ortho = gram_check(basis)
-    if not ortho:
-        raise ValueError(
-            "basis is not orthonormal (see gram_check); projective measurement refused"
-        )
-    if basis.vectors[0].num_qubits != s.num_qubits:
-        raise ValueError("state and basis dimensions differ")
-    probs = np.array([abs(inner(v, s)) ** 2 for v in basis.vectors])
-    total = probs.sum()
-    if total < 1 - GRAM_TOL:
-        raise ValueError("basis does not span the state")
-    probs = probs / total
-    rng = np.random.default_rng(seed)
-    return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+def phase_pattern_basis() -> np.ndarray:
+    return _phase_rows(_PHASE_BASIS_PATTERNS)
 
 
 def intercept_resend_analysis() -> AttackReport:

@@ -8,14 +8,16 @@ them, disagreements are reported as findings.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
 from .grover import DecodePhase1Result, argmax_labels, decode_phase1, decode_phase2, encode
-from .statevec import EigenAxis, StateVector, eigen_vector, tensor
+from .statevec import PHASES, StateVector
 
 # One line per k: "k axis1 axis2 axis3".  k=1 is (+,+,+), k=64 is (-i,-,-i).
 _CATALOG_TEXT = """\
@@ -95,40 +97,28 @@ CHEAT_DETECT_MARKS = frozenset({"000", "001", "010", "100", "111"})
 PUBLISHED_M_OVERRIDES = {7: "001", 8: "011"}
 
 
-@dataclass(frozen=True)
-class InitialStateSpec:
-    """Catalog entry: index k and the ordered eigenstate triple."""
+@functools.cache
+def phase_table() -> np.ndarray:
+    """The catalog as a read-only (64, 8) array of +-1/+-i phases.
 
-    k: int
-    axes: tuple[EigenAxis, EigenAxis, EigenAxis]
-
-
-def _parse_catalog(text: str) -> tuple[InitialStateSpec, ...]:
-    specs = []
-    for line in text.strip().splitlines():
-        k, *syms = line.split()
-        axes = tuple(EigenAxis(s) for s in syms)
-        specs.append(InitialStateSpec(int(k), axes))
-    if len(specs) != 64 or {s.k for s in specs} != set(range(1, 65)):
-        raise ValueError("catalog must contain k = 1..64")
-    if len({s.axes for s in specs}) != 64:
+    Row k-1 is the Kronecker product of the unnormalised (1, phase) vectors
+    of entry k's three eigenstates, so S_k is that row over sqrt 8.  Parsed
+    on first use.
+    """
+    entries = [line.split() for line in _CATALOG_TEXT.strip().splitlines()]
+    if [int(k) for k, *_ in entries] != list(range(1, 65)):
+        raise ValueError("catalog must list k = 1..64 in order")
+    if len({tuple(syms) for _, *syms in entries}) != 64:
         raise ValueError("catalog axis triples must be distinct")
-    return tuple(specs)
-
-
-CATALOG: tuple[InitialStateSpec, ...] = _parse_catalog(_CATALOG_TEXT)
-
-
-def catalog_entry(k: int) -> InitialStateSpec:
-    if not 1 <= k <= 64:
-        raise ValueError(f"catalog index k must be 1..64, got {k}")
-    return CATALOG[k - 1]
-
-
-def build_state(spec: InitialStateSpec) -> StateVector:
-    """Three-qubit product state for a catalog entry."""
-    a, b, c = (eigen_vector(ax) for ax in spec.axes)
-    return tensor(tensor(a, b), c)
+    rows = []
+    for _, *syms in entries:
+        a, b, c = (np.array([1, PHASES[s]], dtype=np.complex128) for s in syms)
+        # np.outer flattens its inputs, so this is np.kron(np.kron(a, b), c)
+        # without kron's per-call overhead.
+        rows.append(np.outer(np.outer(a, b), c).ravel())
+    table = np.array(rows)
+    table.setflags(write=False)
+    return table
 
 
 #: Catalog states built so far, by k; StateVector is frozen and read-only, so
@@ -138,10 +128,14 @@ _STATES: dict[int, StateVector] = {}
 
 def initial_state(k: int) -> StateVector:
     """The catalog state S_k, built on first use and then shared."""
-    spec = catalog_entry(k)
-    if spec.k not in _STATES:
-        _STATES[spec.k] = build_state(spec)
-    return _STATES[spec.k]
+    k = operator.index(k)
+    if not 1 <= k <= 64:
+        raise ValueError(f"catalog index k must be 1..64, got {k}")
+    if k not in _STATES:
+        # Dividing by sqrt(2) ** 3, not sqrt(8), keeps each amplitude equal
+        # to the product of three normalised eigenvector entries.
+        _STATES[k] = StateVector(3, phase_table()[k - 1] / np.sqrt(2.0) ** 3)
+    return _STATES[k]
 
 
 def round3(x: float) -> float:

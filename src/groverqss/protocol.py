@@ -203,7 +203,9 @@ def run_session(
         if kind == "message":
             marked = next(share_iter).bits
         else:
-            marked = entry.get("marked") or cheat_marks[rng.integers(len(cheat_marks))]
+            marked = entry.get("marked")
+            if marked is None:
+                marked = cheat_marks[rng.integers(len(cheat_marks))]
         cfg = RoundConfig(
             k=int(rng.integers(1, 65)),
             marked=marked,

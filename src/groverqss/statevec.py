@@ -9,7 +9,6 @@ function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,19 +20,7 @@ ATOL = 1e-12
 #: Hard cap on system size: 3 protocol qubits plus 1 ancilla.
 MAX_QUBITS = 4
 
-_SQRT2 = np.sqrt(2.0)
-
-
-class EigenAxis(Enum):
-    """The four single-qubit eigenstates a dealer may prepare from."""
-
-    PLUS = "+"
-    MINUS = "-"
-    PLUS_I = "+i"
-    MINUS_I = "-i"
-
-
-#: Relative phase of each eigenstate symbol: |axis> = (|0> + PHASES[axis]|1>)/sqrt 2.
+#: Relative phase of each eigenstate symbol: |s> = (|0> + PHASES[s]|1>)/sqrt 2.
 PHASES = {"+": 1, "-": -1, "+i": 1j, "-i": -1j}
 
 
@@ -111,19 +98,6 @@ def basis_state(label: str) -> StateVector:
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[label_to_index(label)] = 1.0
     return StateVector(n, amps)
-
-
-def eigen_vector(axis: EigenAxis) -> StateVector:
-    """One-qubit eigenstate |+>, |->, |+i> or |-i>."""
-    return StateVector(1, np.array([1, PHASES[axis.value]], dtype=np.complex128) / _SQRT2)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product; a's qubits become the more significant bits."""
-    n = a.num_qubits + b.num_qubits
-    if n > MAX_QUBITS:
-        raise ValueError(f"tensor product of {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
-    return StateVector(n, np.kron(a.amps, b.amps))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

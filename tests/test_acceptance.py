@@ -201,9 +201,9 @@ def test_criterion_07_gram_audit():
     g, ortho = gram_check(sign_flip_basis())
     assert not ortho
     off = g[~np.eye(8, dtype=bool)]
-    assert np.max(np.abs(np.abs(off) - 0.5)) <= TOL
+    assert np.all(off == 0.5)
     g2, ortho2 = gram_check(computational_basis())
-    assert ortho2 and np.max(np.abs(g2 - np.eye(8))) <= TOL
+    assert ortho2 and np.array_equal(g2, np.eye(8))
     report("7 (gram audit: published vectors overlap 1/2, computational = identity)")
 
 

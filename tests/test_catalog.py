@@ -1,66 +1,68 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import groverqss
 from groverqss import catalog
 from groverqss.catalog import (
-    CATALOG,
     CHEAT_DETECT_MARKS,
     MESSAGE_MARKS,
     PUBLISHED_M_OVERRIDES,
-    build_state,
-    catalog_entry,
     diff_table,
     generate_table1,
     generate_table2,
     initial_state,
+    phase_table,
     published_table1,
     published_table2,
     render_table,
     round3,
 )
-from groverqss.statevec import EigenAxis
+from groverqss.statevec import PHASES
 
 SQRT8 = np.sqrt(8.0)
 
 
-def axes(*symbols):
-    return tuple(EigenAxis(s) for s in symbols)
+def build_state(k):
+    """Reference S_k: the Kronecker product of the three normalised
+    eigenvectors named on catalog line k."""
+    line_k, *symbols = catalog._CATALOG_TEXT.splitlines()[k - 1].split()
+    assert int(line_k) == k
+    a, b, c = (np.array([1, PHASES[s]], dtype=np.complex128) / np.sqrt(2.0) for s in symbols)
+    return np.kron(np.kron(a, b), c)
 
 
 @pytest.mark.parametrize(
     "k,expected",
     [
-        (1, axes("+", "+", "+")),
-        (9, axes("+i", "+i", "+i")),
-        (17, axes("+", "+", "+i")),
-        (51, axes("+", "-i", "-i")),
-        (64, axes("-i", "-", "-i")),
+        (1, [1, 1, 1, 1, 1, 1, 1, 1]),  # + + +
+        (9, [1, 1j, 1j, -1, 1j, -1, -1, -1j]),  # +i +i +i
+        (17, [1, 1j, 1, 1j, 1, 1j, 1, 1j]),  # + + +i
+        (51, [1, -1j, -1j, -1, 1, -1j, -1j, -1]),  # + -i -i
+        (64, [1, -1j, -1, 1j, -1j, -1, 1j, 1]),  # -i - -i
     ],
 )
 def test_catalog_entries(k, expected):
-    assert catalog_entry(k).axes == expected
+    assert np.array_equal(phase_table()[k - 1], expected)
 
 
 def test_catalog_out_of_range():
     for k in (0, 65):
         with pytest.raises(ValueError):
-            catalog_entry(k)
+            initial_state(k)
 
 
 def test_initial_state_is_built_once_from_build_state():
     for k in range(1, 65):
         s = initial_state(k)
-        assert s.amps.tobytes() == build_state(catalog_entry(k)).amps.tobytes()
+        assert s.amps.tobytes() == build_state(k).tobytes()
         assert initial_state(k) is s
         with pytest.raises(ValueError):
             s.amps[0] = 0
+    with pytest.raises(ValueError):
+        phase_table()[0, 0] = 0
 
 
 BAD_K = [(0, ValueError), (65, ValueError), (1.0, TypeError), ("1", TypeError)]
@@ -99,17 +101,14 @@ print(calls)
 """
 
 
-def test_import_builds_no_state():
-    src = str(Path(groverqss.__file__).resolve().parents[1])
-    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+def test_import_builds_no_state(src_env):
     proc = subprocess.run([sys.executable, "-c", _COUNT_CONSTRUCTS_AT_IMPORT],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=src_env, check=True)
     assert proc.stdout.split() == ["0"]
 
 
 def test_catalog_axes_distinct():
-    assert len({spec.axes for spec in CATALOG}) == 64
+    assert len({tuple(row) for row in phase_table()}) == 64
 
 
 def test_catalog_states_pairwise_distinct():

@@ -1,4 +1,7 @@
 import json
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -215,6 +218,8 @@ def test_attack_lie_rejects_a_mark_that_is_not_3_bits(mark, capsys):
         {"secret": "110", "schedule": [{"kind": "message", "liar": ["P1"]}]},
         {"secret": "110", "schedule": [{"kind": "message", "marked": "111"}]},
         {"secret": "110", "measurment_mode": "sampled"},
+        {"secret": "110", "schedule": [{"kind": "cheat_detect", "marked": ""},
+                                       {"kind": "message"}]},
     ],
 )
 def test_malformed_session_config_is_a_usage_error(cfg, tmp_path, capsys):
@@ -223,6 +228,21 @@ def test_malformed_session_config_is_a_usage_error(cfg, tmp_path, capsys):
     code, out, err = run_cli(capsys, "protocol", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_unallocatable_shots_is_a_usage_error(src_env):
+    # The 2 GiB address-space limit makes the 745 GiB draw array fail to
+    # allocate whatever the host's overcommit policy; never run it without.
+    proc = subprocess.run(
+        [sys.executable, "-m", "groverqss.cli", "sample", "--shots", "100000000000"],
+        capture_output=True, text=True, env=src_env, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_deeply_nested_session_config_is_a_usage_error(tmp_path, capsys):

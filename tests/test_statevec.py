@@ -1,84 +1,24 @@
 import numpy as np
 import pytest
 
+from groverqss.catalog import initial_state
 from groverqss.statevec import (
     ATOL,
-    EigenAxis,
     StateVector,
     all_labels,
     basis_state,
     distribution,
-    eigen_vector,
     index_to_label,
     inner,
     label_to_index,
-    norm,
     state,
-    tensor,
 )
 
 SQRT2 = np.sqrt(2.0)
-SQRT8 = np.sqrt(8.0)
-
-
-def test_eigen_plus():
-    v = eigen_vector(EigenAxis.PLUS)
-    assert v.amps == pytest.approx([1 / SQRT2, 1 / SQRT2])
-
-
-def test_eigen_minus_i():
-    v = eigen_vector(EigenAxis.MINUS_I)
-    assert v.amps == pytest.approx([1 / SQRT2, -1j / SQRT2])
-
-
-@pytest.mark.parametrize("axis", list(EigenAxis))
-def test_eigen_norm(axis):
-    assert norm(eigen_vector(axis)) == pytest.approx(1.0, abs=ATOL)
-
-
-def test_tensor_three_plus():
-    plus = eigen_vector(EigenAxis.PLUS)
-    s = tensor(tensor(plus, plus), plus)
-    assert s.num_qubits == 3
-    assert s.amps == pytest.approx(np.full(8, 1 / SQRT8))
-
-
-def test_tensor_basis_states():
-    s = tensor(basis_state("0"), basis_state("0"))
-    assert s.amps == pytest.approx([1, 0, 0, 0])
-
-
-def test_tensor_big_endian():
-    # |1> tensor |0> is |10> = index 2
-    s = tensor(basis_state("1"), basis_state("0"))
-    assert s.amp("10") == pytest.approx(1.0)
-
-
-def test_tensor_norm_multiplicative():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.normal(size=4) + 1j * rng.normal(size=4)
-        b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-        assert norm(tensor(state(a), state(b))) == pytest.approx(1.0, abs=ATOL)
-
-
-def test_tensor_associative():
-    x, y, z = (eigen_vector(a) for a in (EigenAxis.PLUS_I, EigenAxis.MINUS, EigenAxis.PLUS))
-    left = tensor(tensor(x, y), z)
-    right = tensor(x, tensor(y, z))
-    assert left.isclose(right, atol=0)
-
-
-def test_tensor_size_overflow():
-    two = tensor(basis_state("0"), basis_state("0"))
-    with pytest.raises(ValueError, match="cap"):
-        tensor(two, tensor(two, basis_state("0")))
 
 
 def test_inner_self_overlap():
-    plus3 = tensor(tensor(eigen_vector(EigenAxis.PLUS), eigen_vector(EigenAxis.PLUS)),
-                   eigen_vector(EigenAxis.PLUS))
+    plus3 = initial_state(1)
     assert inner(plus3, plus3) == pytest.approx(1.0, abs=ATOL)
 
 
@@ -89,9 +29,10 @@ def test_inner_orthogonal():
 def test_inner_plus_minus_i():
     # hand oracle: (1/2)(<0|+<1|)(|0> - i|1>) = (1 - i)/2; conjugation on the
     # bra side gives <+|-i> = (1 - i)/2 and <-i|+> = (1 + i)/2
-    got = inner(eigen_vector(EigenAxis.PLUS), eigen_vector(EigenAxis.MINUS_I))
+    plus, minus_i = state(np.array([1, 1]) / SQRT2), state(np.array([1, -1j]) / SQRT2)
+    got = inner(plus, minus_i)
     assert got == pytest.approx((1 - 1j) / 2, abs=ATOL)
-    got = inner(eigen_vector(EigenAxis.MINUS_I), eigen_vector(EigenAxis.PLUS))
+    got = inner(minus_i, plus)
     assert got == pytest.approx((1 + 1j) / 2, abs=ATOL)
 
 
@@ -101,8 +42,7 @@ def test_inner_dimension_mismatch():
 
 
 def test_distribution_uniform():
-    plus3 = tensor(tensor(eigen_vector(EigenAxis.PLUS), eigen_vector(EigenAxis.PLUS)),
-                   eigen_vector(EigenAxis.PLUS))
+    plus3 = initial_state(1)
     assert distribution(plus3) == pytest.approx(np.full(8, 1 / 8), abs=ATOL)
 
 
