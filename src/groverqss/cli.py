@@ -176,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code) if e.code else EXIT_OK
     try:
         return args.func(args)
-    except (OSError, ValueError, MemoryError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,7 +7,9 @@ outcome M, then runs the oracle for M followed by a second diffusion.
 
 Shot sampling uses inverse-CDF draws from NumPy's PCG64 generator
 (``numpy.random.default_rng(seed)``), so counts are reproducible across
-runs and builds for a fixed (state, shots, seed).
+runs and builds for a fixed (state, shots, seed).  ``sample`` never stores
+the draws: it tallies each chunk's draws at or above every CDF threshold,
+and the differences of those tallies are exactly the outcome counts.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ from .statevec import (
 #: Tolerance for membership in the tied-argmax set.  Tied probabilities in
 #: scope are exactly equal rationals, so anything above rounding noise works.
 ARGMAX_TOL = 1e-9
+
+#: Draws per chunk in ``sample``; 512 KiB of doubles stays in cache.
+SAMPLE_CHUNK = 1 << 16
+
+#: Largest ``shots`` that ``sample`` accepts, a few seconds of draws.
+MAX_SHOTS = 10**9
 
 
 def iteration_count(num_qubits: int) -> int:
@@ -135,16 +143,28 @@ def sample(s: StateVector, shots: int, seed: int) -> ShotCounts:
     """Draw ``shots`` independent outcomes from the state's distribution.
 
     Deterministic for fixed (state, shots, seed): inverse-CDF sampling over
-    NumPy's PCG64 bit generator.
+    NumPy's PCG64 bit generator.  Each double that ``Generator.random``
+    returns consumes one 64-bit output, so the chunked draws continue one
+    stream and pick the same outcomes as a single ``rng.random(shots)``
+    searched with ``np.searchsorted(cdf, u, side="right")``.  That search
+    gives index i iff cdf[i-1] <= u < cdf[i], so #(index >= i) is
+    #(u >= cdf[i-1]), and each count is a difference of two such tallies.
+    The index never exceeds dim - 1 (the search's last entry is set to
+    exactly 1 and u < 1), so only the first dim - 1 entries are thresholds.
+    Counts hold only the outcomes drawn, in ascending order.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    dist = distribution(s)
-    cdf = np.cumsum(dist)
-    cdf[-1] = 1.0
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be 1..{MAX_SHOTS}, got {shots}")
+    cdf = np.cumsum(distribution(s))[:-1]
+    # np.empty rejects a float or bool count with the TypeError rng.random gives.
+    buf = np.empty(min(shots, SAMPLE_CHUNK))
     rng = np.random.default_rng(seed)
-    draws = np.searchsorted(cdf, rng.random(shots), side="right")
-    counts: dict[str, int] = {}
-    for idx, n in zip(*np.unique(draws, return_counts=True)):
-        counts[index_to_label(int(idx), s.num_qubits)] = int(n)
+    tallies = [0] * cdf.size  # tallies[j] = #(u >= cdf[j]) = #(index > j)
+    for start in range(0, shots, SAMPLE_CHUNK):
+        u = rng.random(out=buf[: shots - start])
+        for j, threshold in enumerate(cdf):
+            tallies[j] += np.count_nonzero(u >= threshold)
+    at_least = [shots, *map(int, tallies), 0]  # at_least[i] = #(index >= i)
+    counts = {index_to_label(i, s.num_qubits): at_least[i] - at_least[i + 1]
+              for i in range(cdf.size + 1) if at_least[i] > at_least[i + 1]}
     return ShotCounts(counts=counts, shots=shots, seed=seed)

@@ -103,7 +103,7 @@ print(calls)
 
 def test_import_builds_no_state(src_env):
     proc = subprocess.run([sys.executable, "-c", _COUNT_CONSTRUCTS_AT_IMPORT],
-                          capture_output=True, text=True, env=src_env, check=True)
+                          capture_output=True, text=True, env=src_env, check=True, timeout=60)
     assert proc.stdout.split() == ["0"]
 
 

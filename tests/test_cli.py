@@ -235,11 +235,13 @@ def _limit_address_space():
 
 
 def test_unallocatable_shots_is_a_usage_error(src_env):
-    # The 2 GiB address-space limit makes the 745 GiB draw array fail to
-    # allocate whatever the host's overcommit policy; never run it without.
+    # 10**11 shots is over grover.MAX_SHOTS, so sample refuses it before any
+    # draw; drawn, it would take minutes.  The 2 GiB address-space limit
+    # stays so that a sampler which allocates per shot fails fast too.
     proc = subprocess.run(
         [sys.executable, "-m", "groverqss.cli", "sample", "--shots", "100000000000"],
         capture_output=True, text=True, env=src_env, preexec_fn=_limit_address_space,
+        timeout=60,
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

@@ -14,5 +14,5 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 )
 def test_demo_output_is_unchanged(name, src_env):
     proc = subprocess.run([sys.executable, str(DEMOS / f"{name}.py")],
-                          capture_output=True, env=src_env, check=True)
+                          capture_output=True, env=src_env, check=True, timeout=120)
     assert proc.stdout == (DEMOS / "expected" / f"{name}.txt").read_bytes()

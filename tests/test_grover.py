@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from groverqss import grover
+from groverqss.attacks import entangle_measure
 from groverqss.catalog import initial_state
 from groverqss.grover import (
+    MAX_SHOTS,
+    SAMPLE_CHUNK,
     collective_op,
     decode_phase1,
     decode_phase2,
@@ -12,7 +16,7 @@ from groverqss.grover import (
     oracle_apply,
     sample,
 )
-from groverqss.statevec import basis_state, distribution, state
+from groverqss.statevec import basis_state, distribution, index_to_label, state
 
 SQRT8 = np.sqrt(8.0)
 
@@ -197,3 +201,72 @@ def test_sample_empirical_close():
 def test_sample_zero_shots():
     with pytest.raises(ValueError):
         sample(basis_state("000"), 0, seed=1)
+
+
+def test_sample_over_max_shots_raises_before_drawing(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("sample built a generator for an out-of-range count")
+
+    monkeypatch.setattr(grover.np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=f"shots must be 1..{MAX_SHOTS}, got {MAX_SHOTS + 1}$"):
+        sample(basis_state("000"), MAX_SHOTS + 1, seed=1)
+
+
+@pytest.mark.parametrize("shots", [10.0, True, "5"])
+def test_sample_non_integer_shots_is_a_type_error(shots):
+    with pytest.raises(TypeError):
+        sample(basis_state("000"), shots, seed=1)
+
+
+def searchsorted_sample(s, shots, seed):
+    """The sampler before chunked counting: one draw array, searched and sorted."""
+    cdf = np.cumsum(distribution(s))
+    cdf[-1] = 1.0
+    draws = np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right")
+    return {
+        index_to_label(int(idx), s.num_qubits): int(n)
+        for idx, n in zip(*np.unique(draws, return_counts=True))
+    }
+
+
+def assert_same_counts(s, shots, seed):
+    counts = sample(s, shots, seed).counts
+    assert list(counts.items()) == list(searchsorted_sample(s, shots, seed).items())
+    assert all(type(n) is int for n in counts.values())
+
+
+CHUNK_EDGE_SHOTS = [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 5]
+
+
+@pytest.fixture(scope="module")
+def final_states():
+    """The decoded state of every (k, m): 512 states, k-major."""
+    finals = []
+    for k in range(1, 65):
+        sk = initial_state(k)
+        for i in range(8):
+            finals.append(collective_op(encode(sk, format(i, "03b")), sk)[1])
+    return finals
+
+
+@pytest.mark.parametrize("j", range(len(CHUNK_EDGE_SHOTS)))
+def test_sample_matches_searchsorted_on_every_final_state(final_states, j):
+    # Each shot count takes every fifth state, so the five cover all 512.
+    for i in range(j, len(final_states), len(CHUNK_EDGE_SHOTS)):
+        assert_same_counts(final_states[i], CHUNK_EDGE_SHOTS[j], seed=1000 + i)
+
+
+@pytest.mark.parametrize("shots", CHUNK_EDGE_SHOTS)
+def test_sample_matches_searchsorted_on_1_to_4_qubits(shots):
+    after_oracle = dict(entangle_measure().intermediate_states)["after_mark_oracle"]
+    for s in [basis_state("101"), state([0.6, 0.8j]), state([0.5, -0.5, 0.5j, 0.5]), after_oracle]:
+        assert_same_counts(s, shots, seed=shots)
+
+
+def test_sample_million_shots_recorded_counts():
+    # Recorded with the searchsorted sampler; the draws span 16 chunks.
+    _, final, _ = collective_op(encode(initial_state(1), "110"), initial_state(9))
+    assert sample(final, 10**6, seed=8).counts == {
+        "000": 194688, "001": 7794, "010": 7722, "011": 195415,
+        "100": 7772, "101": 195828, "110": 195384, "111": 195397,
+    }
