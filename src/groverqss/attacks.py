@@ -27,6 +27,9 @@ from .grover import (
 )
 from .statevec import PHASES, StateVector, distribution, index_to_label, label_to_index
 
+#: Basis indices of the cheat-detect marks, ascending.
+_CHEAT_DETECT_INDICES = tuple(sorted(map(label_to_index, CHEAT_DETECT_MARKS)))
+
 
 @dataclass(frozen=True)
 class Claim:
@@ -172,11 +175,9 @@ def intercept_enumeration(k_true: int = 1, m: str = "110") -> AttackReport:
         inclusive += s_incl
         correct_M += p1.chosen_M == m
         # forced-mark run for the cheat-detect exposure bound
-        _, forced_dist = decode_phase2(p1.state, m, guess)
-        max_cheat_label_prob = max(
-            max_cheat_label_prob,
-            max(float(forced_dist[label_to_index(c)]) for c in CHEAT_DETECT_MARKS),
-        )
+        forced = decode_phase2(p1.state, m, guess)[1].tolist()
+        for i in _CHEAT_DETECT_INDICES:
+            max_cheat_label_prob = max(max_cheat_label_prob, forced[i])
         per_guess.append(
             {
                 "k": k,
@@ -338,7 +339,7 @@ def entangle_measure(k: int = 1, m: str = "110", control_qubit: int = 1) -> Atta
     M = argmax_labels(marginal_over_ancilla(after_diffusion), 3)[0]
     after_oracle = _with_ancilla([oracle_apply(s, M) for s in branches])
     final_marginal = marginal_over_ancilla(after_oracle)
-    detect = float(sum(final_marginal[label_to_index(c)] for c in sorted(CHEAT_DETECT_MARKS)))
+    detect = float(sum(final_marginal[i] for i in _CHEAT_DETECT_INDICES))
     claims = [Claim.compare("cheat_detect_probability", detect, 5 / 32)]
     return AttackReport(
         attack_kind="entangle_measure",

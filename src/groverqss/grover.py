@@ -14,18 +14,14 @@ and the differences of those tallies are exactly the outcome counts.
 
 from __future__ import annotations
 
+import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevec import (
-    StateVector,
-    distribution,
-    index_to_label,
-    inner,
-    label_to_index,
-)
+from .statevec import LABELS, StateVector, distribution, index_to_label, label_to_index
 
 #: Tolerance for membership in the tied-argmax set.  Tied probabilities in
 #: scope are exactly equal rationals, so anything above rounding noise works.
@@ -51,15 +47,19 @@ def oracle_apply(s: StateVector, m: str) -> StateVector:
         raise ValueError(f"marked label {m!r} does not address {s.num_qubits} qubits")
     amps = s.amps.copy()
     amps[label_to_index(m)] *= -1
-    return StateVector(s.num_qubits, amps)
+    return StateVector._wrap(s.num_qubits, amps)
 
 
 def diffusion_apply(s: StateVector, about: StateVector) -> StateVector:
     """Apply U_S = 2|S><S| - I, i.e. return 2<S|s>|S> - |s>."""
     if s.num_qubits != about.num_qubits:
         raise ValueError("state and diffusion axis have different qubit counts")
-    overlap = inner(about, s)
-    return StateVector(s.num_qubits, 2 * overlap * about.amps - s.amps)
+    overlap = complex(np.vdot(about.amps, s.amps))
+    amps = 2 * overlap * about.amps - s.amps
+    # Finite inputs can still overflow; negation in oracle_apply cannot.
+    if not all(map(cmath.isfinite, amps.tolist())):
+        raise ValueError("amplitudes must be finite")
+    return StateVector._wrap(s.num_qubits, amps)
 
 
 def encode(initial: StateVector, m: str) -> StateVector:
@@ -69,8 +69,12 @@ def encode(initial: StateVector, m: str) -> StateVector:
 
 def argmax_labels(dist: np.ndarray, num_qubits: int) -> list[str]:
     """All outcome labels tied at the maximum probability, sorted."""
-    floor = float(dist.max()) - ARGMAX_TOL
-    return [format(i, f"0{num_qubits}b") for i, p in enumerate(dist.tolist()) if p >= floor]
+    labels = LABELS.get(num_qubits, ())
+    if len(dist) != len(labels):
+        raise ValueError(f"{len(dist)} probabilities do not address {num_qubits} qubits")
+    probs = dist.tolist()
+    floor = max(probs) - ARGMAX_TOL
+    return [label for label, p in zip(labels, probs) if p >= floor]
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,7 @@ def decode_phase1(
     """
     st = diffusion_apply(encoded, initial)
     dist = distribution(st)
+    max_prob = float(dist.max())
     tied = argmax_labels(dist, st.num_qubits)
     if choose is not None:
         if choose not in tied:
@@ -106,7 +111,7 @@ def decode_phase1(
         dist=dist,
         argmax_set=frozenset(tied),
         chosen_M=chosen,
-        max_prob=float(dist.max()),
+        max_prob=max_prob,
     )
 
 
@@ -151,11 +156,16 @@ def sample(s: StateVector, shots: int, seed: int) -> ShotCounts:
     #(u >= cdf[i-1]), and each count is a difference of two such tallies.
     The index never exceeds dim - 1 (the search's last entry is set to
     exactly 1 and u < 1), so only the first dim - 1 entries are thresholds.
-    Counts hold only the outcomes drawn, in ascending order.
+    Counts hold only the outcomes drawn, in ascending order.  One shot
+    (a protocol round's measurement) skips the buffer: the same double,
+    compared with the same thresholds by ``bisect_right``.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be 1..{MAX_SHOTS}, got {shots}")
     cdf = np.cumsum(distribution(s))[:-1]
+    if type(shots) is int and shots == 1:  # True takes the buffer path's TypeError
+        index = bisect_right(cdf.tolist(), np.random.default_rng(seed).random())
+        return ShotCounts(counts={index_to_label(index, s.num_qubits): 1}, shots=1, seed=seed)
     # np.empty rejects a float or bool count with the TypeError rng.random gives.
     buf = np.empty(min(shots, SAMPLE_CHUNK))
     rng = np.random.default_rng(seed)

@@ -33,12 +33,25 @@ def validate_label(label: str) -> str:
     return label
 
 
+#: Every ket label of 1..MAX_QUBITS qubits, by qubit count, in index order.
+LABELS = {n: tuple(format(i, f"0{n}b") for i in range(2**n)) for n in range(1, MAX_QUBITS + 1)}
+
+_INDEX = {label: i for labels in LABELS.values() for i, label in enumerate(labels)}
+
+
 def label_to_index(label: str) -> int:
     """Big-endian integer value of a ket label, e.g. '110' -> 6."""
-    return int(validate_label(label), 2)
+    try:
+        return _INDEX[label]
+    except (KeyError, TypeError):
+        # Every valid label is in the table, so this raises with the message.
+        return int(validate_label(label), 2)
 
 
 def index_to_label(index: int, num_qubits: int) -> str:
+    labels = LABELS.get(num_qubits, ())
+    if type(index) is int and 0 <= index < len(labels):
+        return labels[index]
     if not 0 <= index < 2**num_qubits:
         raise ValueError(f"index {index} out of range for {num_qubits} qubits")
     return format(index, f"0{num_qubits}b")
@@ -68,6 +81,20 @@ class StateVector:
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
+
+    @classmethod
+    def _wrap(cls, num_qubits: int, amps: np.ndarray) -> "StateVector":
+        """A state around ``amps`` without the checks and copy above.
+
+        Only for a fresh complex128 array of 2**num_qubits finite entries
+        that an operator has just computed from checked states; it is made
+        read-only here and must not be shared.
+        """
+        amps.setflags(write=False)
+        s = object.__new__(cls)
+        object.__setattr__(s, "num_qubits", num_qubits)
+        object.__setattr__(s, "amps", amps)
+        return s
 
     @property
     def dim(self) -> int:

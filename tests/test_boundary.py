@@ -1,0 +1,145 @@
+"""States are validated once, where they enter the package.
+
+The operators build their results without re-checking them, so these tests
+hold those results to a validated reference computed with the same numpy
+expressions, and check that every public constructor still refuses bad
+input.
+"""
+
+import numpy as np
+import pytest
+
+from groverqss.catalog import initial_state
+from groverqss.grover import (
+    argmax_labels,
+    decode_phase1,
+    decode_phase2,
+    diffusion_apply,
+    encode,
+    oracle_apply,
+)
+from groverqss.statevec import (
+    StateVector,
+    basis_state,
+    distribution,
+    index_to_label,
+    label_to_index,
+    state,
+)
+
+MARKS = [format(i, "03b") for i in range(8)]
+
+
+def reference_oracle(s, m):
+    amps = s.amps.copy()
+    amps[int(m, 2)] *= -1
+    return StateVector(s.num_qubits, amps)
+
+
+def reference_diffusion(s, about):
+    return StateVector(s.num_qubits, 2 * complex(np.vdot(about.amps, s.amps)) * about.amps - s.amps)
+
+
+def assert_same_state(got, want):
+    assert got.num_qubits == want.num_qubits
+    assert got.amps.dtype == np.complex128
+    assert not got.amps.flags.writeable
+    assert got.amps.tobytes() == want.amps.tobytes()
+
+
+@pytest.mark.parametrize("enc_k", range(1, 65))
+def test_decode_results_equal_the_validated_reference(enc_k):
+    # Eight decoders per encoded state, shifted with enc_k so that the 64
+    # parametrizations use every decoder k.
+    decoders = range(enc_k % 8 + 1, 65, 8)
+    for m in MARKS:
+        encoded = encode(initial_state(enc_k), m)
+        assert_same_state(encoded, reference_oracle(initial_state(enc_k), m))
+        for k in decoders:
+            sk = initial_state(k)
+            p1 = decode_phase1(encoded, sk)
+            ref1 = reference_diffusion(encoded, sk)
+            assert_same_state(p1.state, ref1)
+            assert p1.dist.tobytes() == distribution(ref1).tobytes()
+            assert p1.max_prob == float(distribution(ref1).max())
+            assert_same_state(oracle_apply(p1.state, p1.chosen_M),
+                              reference_oracle(ref1, p1.chosen_M))
+            final, fdist = decode_phase2(p1.state, p1.chosen_M, sk)
+            ref2 = reference_diffusion(reference_oracle(ref1, p1.chosen_M), sk)
+            assert_same_state(final, ref2)
+            assert fdist.tobytes() == distribution(ref2).tobytes()
+
+
+def test_diffusion_overflow_is_refused():
+    huge = state([1e308] * 8)
+    with pytest.raises(ValueError, match="finite"):
+        diffusion_apply(huge, huge)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StateVector(3, [np.nan] + [0] * 7),
+    lambda: StateVector(3, [np.inf] + [0] * 7),
+    lambda: state([1, np.nan]),
+    lambda: state([0.5, 0.5j, complex(np.nan, 0), 0.5]),
+])
+def test_public_constructors_refuse_non_finite_amplitudes(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StateVector(3, np.zeros(4)),
+    lambda: StateVector(3, np.zeros((2, 4))),
+    lambda: StateVector(2, np.zeros(8)),
+    lambda: state(np.zeros(3)),
+    lambda: state(np.zeros((2, 2))),
+])
+def test_public_constructors_refuse_the_wrong_shape(build):
+    with pytest.raises(ValueError, match="amplitudes, got shape"):
+        build()
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_public_constructor_refuses_the_qubit_count(n):
+    with pytest.raises(ValueError, match="num_qubits must be 1..4"):
+        StateVector(n, np.zeros(2**n))
+
+
+def test_public_constructors_copy_and_freeze_their_input():
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[0] = 1
+    s = StateVector(3, amps)
+    amps[0] = 0
+    assert s.amp("000") == 1 and not s.amps.flags.writeable
+    assert not basis_state("010").amps.flags.writeable
+
+
+@pytest.mark.parametrize("size,n", [(16, 3), (4, 3), (8, 4), (2, 5)])
+def test_argmax_labels_refuses_a_distribution_of_the_wrong_length(size, n):
+    with pytest.raises(ValueError, match=f"{size} probabilities do not address {n} qubits"):
+        argmax_labels(np.full(size, 1 / size), n)
+
+
+@pytest.mark.parametrize("label,message", [
+    ("", "not a bit string: ''"),
+    ("10a", "not a bit string: '10a'"),
+    ("10101", "label '10101' exceeds 4 qubits"),
+])
+def test_label_to_index_keeps_its_messages(label, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        label_to_index(label)
+
+
+@pytest.mark.parametrize("index,n", [(8, 3), (-1, 3), (16, 4)])
+def test_index_to_label_keeps_its_message(index, n):
+    with pytest.raises(ValueError, match=f"^index {index} out of range for {n} qubits$"):
+        index_to_label(index, n)
+
+
+def test_label_tables_agree_with_formatting():
+    for n in range(1, 5):
+        for i in range(2**n):
+            label = format(i, f"0{n}b")
+            assert index_to_label(i, n) == label and label_to_index(label) == i
+            assert index_to_label(np.int64(i), n) == label
+    assert index_to_label(5, 6) == "000101"

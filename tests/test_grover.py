@@ -256,6 +256,26 @@ def test_sample_matches_searchsorted_on_every_final_state(final_states, j):
         assert_same_counts(final_states[i], CHUNK_EDGE_SHOTS[j], seed=1000 + i)
 
 
+def test_one_shot_sample_matches_searchsorted_on_every_final_state(final_states):
+    for i, s in enumerate(final_states):
+        for seed in (0, 1, 2**32 + i, 7919 * i + 3):
+            assert_same_counts(s, 1, seed)
+
+
+def test_one_shot_sample_builds_one_generator_and_draws_once(monkeypatch):
+    built, default_rng = [], np.random.default_rng
+
+    def one_rng(seed):
+        rng = default_rng(seed)
+        built.append(rng)
+        return rng
+
+    monkeypatch.setattr(grover.np.random, "default_rng", one_rng)
+    sample(initial_state(5), 1, seed=11)
+    assert len(built) == 1
+    assert built[0].bit_generator.state == default_rng(11).bit_generator.advance(1).state
+
+
 @pytest.mark.parametrize("shots", CHUNK_EDGE_SHOTS)
 def test_sample_matches_searchsorted_on_1_to_4_qubits(shots):
     after_oracle = dict(entangle_measure().intermediate_states)["after_mark_oracle"]
