@@ -10,12 +10,12 @@ truth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from . import _jsontext
 from .catalog import CHEAT_DETECT_MARKS, decode_grid, initial_state
 from .grover import (
     argmax_labels,
@@ -82,7 +82,7 @@ class AttackReport:
             "notes": self.notes,
             "details": self.details,
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return _jsontext.dumps(doc) + "\n"
 
 
 def _sig12(x: float) -> float:
@@ -165,19 +165,16 @@ def intercept_enumeration(k_true: int = 1, m: str = "110") -> AttackReport:
     """
     per_guess = []
     strict = inclusive = correct_M = 0
-    max_cheat_label_prob = 0.0
-    for k, guess, p1, fdist in decode_grid(k_true, m):
-        tied = argmax_labels(fdist, 3)
-        top_p = float(fdist.max())
+    # The forced-mark run (M = m) bounds the cheat-detect exposure.
+    phase1, (fdists, forced) = decode_grid(k_true, m, (None, m))
+    max_cheat_label_prob = float(forced[:, _CHEAT_DETECT_INDICES].max())
+    tops = fdists.max(axis=1).tolist()
+    for k, p1, tied, top_p in zip(range(1, 65), phase1, argmax_labels(fdists, 3), tops):
         s_strict = tied == [m] and top_p > 0.5
         s_incl = m in tied
         strict += s_strict
         inclusive += s_incl
         correct_M += p1.chosen_M == m
-        # forced-mark run for the cheat-detect exposure bound
-        forced = decode_phase2(p1.state, m, guess)[1].tolist()
-        for i in _CHEAT_DETECT_INDICES:
-            max_cheat_label_prob = max(max_cheat_label_prob, forced[i])
         per_guess.append(
             {
                 "k": k,

@@ -9,14 +9,14 @@ them, disagreements are reported as findings.
 from __future__ import annotations
 
 import functools
-import json
 import operator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .grover import DecodePhase1Result, argmax_labels, decode_phase1, decode_phase2, encode
+from . import _jsontext
+from .grover import DecodePhase1Result, argmax_labels, decode_phase1, decode_phase2_rows, encode
 from .statevec import PHASES, StateVector
 
 # One line per k: "k axis1 axis2 axis3".  k=1 is (+,+,+), k=64 is (-i,-,-i).
@@ -160,37 +160,45 @@ class TableRow:
 
 
 def decode_grid(
-    enc_k: int, m: str, M: str | None = None, overrides: dict[int, str] | None = None
-) -> list[tuple[int, StateVector, DecodePhase1Result, np.ndarray]]:
+    enc_k: int, m: str, marks: tuple[str | None, ...] = (None,),
+    overrides: dict[int, str] | None = None,
+) -> tuple[list[DecodePhase1Result], list[np.ndarray]]:
     """Decode |S_enc_k>_m with every catalog state S_k, k = 1..64.
 
-    Returns one ``(k, S_k, phase-1 result, final distribution)`` row per k.
-    Phase 2 uses the forced mark ``M`` on every row when given, else the
-    phase-1 choice, which ``overrides`` may force on specific rows.
+    Returns the 64 phase-1 results, row k-1 for S_k, and one (64, 8)
+    matrix of final distributions per entry of ``marks``: phase 2 forces
+    that mark on every row, or uses each row's phase-1 choice where the
+    entry is None.  ``overrides`` forces the phase-1 choice on specific rows.
     """
     overrides = overrides or {}
     encoded = encode(initial_state(enc_k), m)
-    rows = []
+    phase1, about = [], []
     for k in range(1, 65):
         sk = initial_state(k)
-        p1 = decode_phase1(encoded, sk, choose=overrides.get(k))
-        _, fdist = decode_phase2(p1.state, p1.chosen_M if M is None else M, sk)
-        rows.append((k, sk, p1, fdist))
-    return rows
+        phase1.append(decode_phase1(encoded, sk, choose=overrides.get(k)))
+        about.append(sk.amps)
+    states, about = np.array([p1.state.amps for p1 in phase1]), np.array(about)
+    chosen = [p1.chosen_M for p1 in phase1]
+    return phase1, [decode_phase2_rows(states, chosen if M is None else [M] * 64, about)
+                    for M in marks]
 
 
 def _table_rows(enc_k: int, m: str, M: str | None, overrides: dict[int, str]) -> list[TableRow]:
     """Table 1 rows when ``M`` is None, else table 2 rows for the forced mark."""
+    phase1, (fdists,) = decode_grid(enc_k, m, (M,), overrides)
+    tops = fdists.max(axis=1).tolist()
+    # round3 goes through Decimal, so it runs once per distinct probability.
+    rounded = {p: round3(p) for p in {*tops, *(p1.max_prob for p1 in phase1)}}
     return [
         TableRow(
             k=k,
             phase1_outcomes=p1.argmax_set if M is None else None,
-            phase1_prob=round3(p1.max_prob) if M is None else None,
+            phase1_prob=rounded[p1.max_prob] if M is None else None,
             chosen_M=p1.chosen_M if M is None else M,
-            final_outcomes=frozenset(argmax_labels(fdist, 3)),
-            final_prob=round3(float(fdist.max())),
+            final_outcomes=frozenset(tied),
+            final_prob=rounded[top],
         )
-        for k, _, p1, fdist in decode_grid(enc_k, m, M, overrides)
+        for k, p1, tied, top in zip(range(1, 65), phase1, argmax_labels(fdists, 3), tops)
     ]
 
 
@@ -437,7 +445,7 @@ def render_table(rows: list[TableRow], fmt: str) -> str:
     """Serialize table rows as csv, json or aligned markdown."""
     dicts = [_row_dict(r) for r in rows]
     if fmt == "json":
-        return json.dumps(dicts, indent=2) + "\n"
+        return _jsontext.dumps(dicts) + "\n"
     if fmt not in ("csv", "markdown"):
         raise ValueError(f"unknown format {fmt!r}")
     cells = [_TABLE_HEADER, *(_cells(d, "" if fmt == "csv" else "-") for d in dicts)]

@@ -9,11 +9,10 @@ seeds.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from . import attacks, catalog, grover, protocol
+from . import _jsontext, attacks, catalog, grover, protocol
 from .statevec import label_to_index
 
 EXIT_OK = 0
@@ -46,7 +45,7 @@ def cmd_tables(args) -> int:
         print("note: non-default parameters, no published reference to diff against",
               file=sys.stderr)
         return EXIT_OK
-    diff_text = json.dumps({"table": args.which, "mismatching_rows": diff}, indent=2)
+    diff_text = _jsontext.dumps({"table": args.which, "mismatching_rows": diff})
     print(diff_text, file=sys.stderr)
     return EXIT_FINDING if diff else EXIT_OK
 
@@ -61,7 +60,7 @@ def cmd_protocol(args) -> int:
         "recovered_secret": result.recovered_secret,
         "rounds": [[e.to_dict() for e in t.events] for t in result.transcripts],
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_jsontext.dumps(doc) + "\n", args.out)
     return EXIT_OK if result.verdict == "accept" else EXIT_FINDING
 
 
@@ -100,7 +99,7 @@ def cmd_sample(args) -> int:
         ],
     }
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(_jsontext.dumps(doc) + "\n", args.out)
     else:
         lines = ["label,exact_p,count,empirical_p"]
         for o in doc["outcomes"]:

@@ -4,6 +4,9 @@ The oracle ``U_m = I - 2|m><m|`` flips the sign of the marked amplitude;
 the diffusion ``U_S = 2|S><S| - I`` reflects about the initial product
 state.  Decoding runs one diffusion, reads off the highest-probability
 outcome M, then runs the oracle for M followed by a second diffusion.
+``decode_phase2_rows`` runs that second phase on a stack of rows at once,
+with the same reflection kernel as ``diffusion_apply``, for the 64-row
+decode grid of the tables and the intercept audit.
 
 Shot sampling uses inverse-CDF draws from NumPy's PCG64 generator
 (``numpy.random.default_rng(seed)``), so counts are reproducible across
@@ -41,25 +44,45 @@ def iteration_count(num_qubits: int) -> int:
     return math.floor(math.pi / 4 * math.sqrt(2**num_qubits) + 0.5)
 
 
+def _mark_index(m: str, num_qubits: int) -> int:
+    """Basis index of the marked label ``m`` of a ``num_qubits``-qubit state."""
+    if len(m) != num_qubits:
+        raise ValueError(f"marked label {m!r} does not address {num_qubits} qubits")
+    return label_to_index(m)
+
+
 def oracle_apply(s: StateVector, m: str) -> StateVector:
     """Apply U_m: negate the amplitude at the marked label, leave the rest."""
-    if len(m) != s.num_qubits:
-        raise ValueError(f"marked label {m!r} does not address {s.num_qubits} qubits")
     amps = s.amps.copy()
-    amps[label_to_index(m)] *= -1
+    amps[_mark_index(m, s.num_qubits)] *= -1
     return StateVector._wrap(s.num_qubits, amps)
+
+
+def _reflect(amps: np.ndarray, about: np.ndarray) -> np.ndarray:
+    """U_S = 2|S><S| - I on the last axis: 2<S|s>|S> - |s> for one row
+    ``amps`` and its axis ``about``, or row by row for two equal stacks."""
+    if amps.ndim == 1:
+        out = 2 * complex(np.vdot(about, amps)) * about - amps
+        finite = all(map(cmath.isfinite, out.tolist()))
+    else:
+        # A conjugated row times a column sums in np.vdot's order, bit for
+        # bit; einsum and .sum(-1) do not.  np.vdot does not warn on
+        # overflow, and neither does this: the test below refuses it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            overlap = np.matmul(about.conj()[:, None, :], amps[:, :, None])[:, :, 0]
+            out = 2 * overlap * about - amps
+        finite = np.isfinite(out).all()
+    # Finite inputs can still overflow; negation in oracle_apply cannot.
+    if not finite:
+        raise ValueError("amplitudes must be finite")
+    return out
 
 
 def diffusion_apply(s: StateVector, about: StateVector) -> StateVector:
     """Apply U_S = 2|S><S| - I, i.e. return 2<S|s>|S> - |s>."""
     if s.num_qubits != about.num_qubits:
         raise ValueError("state and diffusion axis have different qubit counts")
-    overlap = complex(np.vdot(about.amps, s.amps))
-    amps = 2 * overlap * about.amps - s.amps
-    # Finite inputs can still overflow; negation in oracle_apply cannot.
-    if not all(map(cmath.isfinite, amps.tolist())):
-        raise ValueError("amplitudes must be finite")
-    return StateVector._wrap(s.num_qubits, amps)
+    return StateVector._wrap(s.num_qubits, _reflect(s.amps, about.amps))
 
 
 def encode(initial: StateVector, m: str) -> StateVector:
@@ -67,12 +90,18 @@ def encode(initial: StateVector, m: str) -> StateVector:
     return oracle_apply(initial, m)
 
 
-def argmax_labels(dist: np.ndarray, num_qubits: int) -> list[str]:
-    """All outcome labels tied at the maximum probability, sorted."""
+def argmax_labels(dist: np.ndarray, num_qubits: int) -> list:
+    """All outcome labels tied at the maximum probability, sorted; for an
+    (n, 2**num_qubits) stack of distributions, one such list per row."""
     labels = LABELS.get(num_qubits, ())
-    if len(dist) != len(labels):
-        raise ValueError(f"{len(dist)} probabilities do not address {num_qubits} qubits")
-    probs = dist.tolist()
+    if dist.shape[-1] != len(labels):
+        raise ValueError(f"{dist.shape[-1]} probabilities do not address {num_qubits} qubits")
+    if dist.ndim == 1:
+        return _tied(dist.tolist(), labels)
+    return [_tied(probs, labels) for probs in dist.tolist()]
+
+
+def _tied(probs: list[float], labels: tuple[str, ...]) -> list[str]:
     floor = max(probs) - ARGMAX_TOL
     return [label for label, p in zip(labels, probs) if p >= floor]
 
@@ -121,6 +150,20 @@ def decode_phase2(
     """Second decode phase: oracle for the observed mark M, then diffuse again."""
     final = diffusion_apply(oracle_apply(st, M), initial)
     return final, distribution(final)
+
+
+def decode_phase2_rows(states: np.ndarray, marks: list[str], about: np.ndarray) -> np.ndarray:
+    """Second decode phase on an (n, dim) stack of phase-1 amplitude rows.
+
+    Row i gets the oracle for ``marks[i]``, then the diffusion about row i
+    of ``about``.  Returns the (n, dim) matrix of final probabilities; each
+    row equals ``decode_phase2``'s distribution bit for bit, without a
+    StateVector per row.
+    """
+    num_qubits = states.shape[1].bit_length() - 1
+    flipped = states.copy()
+    flipped[np.arange(len(flipped)), [_mark_index(M, num_qubits) for M in marks]] *= -1
+    return np.abs(_reflect(flipped, about)) ** 2
 
 
 def collective_op(

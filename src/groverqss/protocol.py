@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _jsontext
 from .catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state
 from .grover import argmax_labels, collective_op, encode, sample
 from .statevec import validate_label
@@ -91,7 +92,7 @@ class ProtocolTranscript:
         return v
 
     def to_json(self) -> str:
-        return json.dumps([e.to_dict() for e in self.events], indent=2) + "\n"
+        return _jsontext.dumps([e.to_dict() for e in self.events]) + "\n"
 
 
 @dataclass(frozen=True)

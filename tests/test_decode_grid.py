@@ -1,0 +1,158 @@
+"""The batched decode grid against the per-row decode, over the whole catalog.
+
+``catalog.decode_grid`` runs phase 2 as one stacked numpy pass per mark
+choice.  Every (enc_k, m) is checked here: the final distributions must be
+bit-identical to the validated per-row reference, and the tables and the
+intercept audit built from them must equal those built by the per-row
+loop that the grid replaced.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from test_boundary import MARKS, reference_diffusion, reference_oracle
+
+from groverqss import attacks
+from groverqss.catalog import (
+    MESSAGE_MARKS,
+    PUBLISHED_M_OVERRIDES,
+    TableRow,
+    decode_grid,
+    generate_table1,
+    generate_table2,
+    initial_state,
+    round3,
+)
+from groverqss.grover import (
+    argmax_labels,
+    decode_phase1,
+    decode_phase2,
+    decode_phase2_rows,
+    encode,
+)
+from groverqss.statevec import distribution, label_to_index
+
+#: Encoded states whose grid is also checked under all 8 forced marks, each
+#: for one m, and whose tables and audit are checked for each message mark.
+SPREAD = range(1, 65, 8)
+
+
+def forced_marks(enc_k, m):
+    return MARKS if enc_k in SPREAD and m == MARKS[enc_k // 8] else []
+
+
+def per_row_grid(enc_k, m, M=None, overrides=None):
+    """The per-row decode_grid loop: one decode_phase2 per catalog state."""
+    overrides = overrides or {}
+    encoded = encode(initial_state(enc_k), m)
+    rows = []
+    for k in range(1, 65):
+        sk = initial_state(k)
+        p1 = decode_phase1(encoded, sk, choose=overrides.get(k))
+        rows.append((k, p1, decode_phase2(p1.state, p1.chosen_M if M is None else M, sk)[1]))
+    return rows
+
+
+def per_row_decode_grid(enc_k, m, marks=(None,), overrides=None):
+    """decode_grid's results, built from the per-row loop."""
+    rows = [per_row_grid(enc_k, m, M, overrides) for M in marks]
+    return [p1 for _, p1, _ in rows[0]], [np.array([f for *_, f in r]) for r in rows]
+
+
+def per_row_table(rows, M=None):
+    return [
+        TableRow(
+            k=k,
+            phase1_outcomes=p1.argmax_set if M is None else None,
+            phase1_prob=round3(p1.max_prob) if M is None else None,
+            chosen_M=p1.chosen_M if M is None else M,
+            final_outcomes=frozenset(argmax_labels(fdist, 3)),
+            final_prob=round3(float(fdist.max())),
+        )
+        for k, p1, fdist in rows
+    ]
+
+
+def per_row_intercept_details(k_true, m):
+    """``details`` and derived claims of the intercept audit, row by row."""
+    per_guess = []
+    strict = inclusive = correct_M = 0
+    max_cheat = 0.0
+    for k, p1, fdist in per_row_grid(k_true, m):
+        tied = argmax_labels(fdist, 3)
+        top_p = float(fdist.max())
+        s_strict = tied == [m] and top_p > 0.5
+        s_incl = m in tied
+        strict += s_strict
+        inclusive += s_incl
+        correct_M += p1.chosen_M == m
+        forced = decode_phase2(p1.state, m, initial_state(k))[1].tolist()
+        for label in ("000", "001", "010", "100", "111"):
+            max_cheat = max(max_cheat, forced[label_to_index(label)])
+        per_guess.append({"k": k, "M": p1.chosen_M, "final_argmax": tied,
+                          "top_p": round(top_p, 6), "success_strict": bool(s_strict),
+                          "success_inclusive": bool(s_incl)})
+    details = {"per_guess": per_guess, "success_strict_count": strict,
+               "success_inclusive_count": inclusive}
+    return details, [inclusive / 64, correct_M / 64, 1 - inclusive / 64, max_cheat]
+
+
+def reference_final(p1_state, M, sk):
+    return distribution(reference_diffusion(reference_oracle(p1_state, M), sk)).tobytes()
+
+
+@pytest.mark.parametrize("enc_k", range(1, 65))
+def test_batched_phase2_equals_the_per_row_reference(enc_k):
+    for m in MARKS:
+        forced = forced_marks(enc_k, m)
+        grids = [(decode_grid(enc_k, m, (None, m, *forced)), {})]
+        if (enc_k, m) == (1, "110"):
+            grids.append((decode_grid(enc_k, m, (None,), PUBLISHED_M_OVERRIDES),
+                          PUBLISHED_M_OVERRIDES))
+        for (phase1, finals), overrides in grids:
+            if overrides:  # table 1's rows k = 7, 8
+                assert [p1.chosen_M for p1 in phase1[6:8]] == ["001", "011"]
+            assert [f.shape for f in finals] == [(64, 8)] * len(finals)
+            for k, p1 in enumerate(phase1, start=1):
+                marks = [p1.chosen_M, m, *forced][:len(finals)]
+                want = {M: reference_final(p1.state, M, initial_state(k)) for M in set(marks)}
+                assert [f[k - 1].tobytes() for f in finals] == [want[M] for M in marks]
+        # The honest decoder recovers m as the unique most likely outcome.
+        auto = grids[0][0][1][0]
+        assert argmax_labels(auto[enc_k - 1], 3) == [m]
+
+
+@pytest.mark.parametrize("enc_k", SPREAD)
+def test_tables_and_audit_equal_the_per_row_loop(enc_k, monkeypatch):
+    for m in sorted(MESSAGE_MARKS):
+        overrides = PUBLISHED_M_OVERRIDES if (enc_k, m) == (1, "110") else {}
+        assert generate_table1(enc_k, m) == per_row_table(per_row_grid(enc_k, m, None, overrides))
+        for M in forced_marks(enc_k, m) or [m]:
+            assert generate_table2(enc_k, m, M) == per_row_table(per_row_grid(enc_k, m, M), M)
+        text = attacks.intercept_enumeration(enc_k, m).to_json()
+        with monkeypatch.context() as patch:
+            patch.setattr(attacks, "decode_grid", per_row_decode_grid)
+            assert attacks.intercept_enumeration(enc_k, m).to_json() == text
+        doc = json.loads(text)
+        details, derived = per_row_intercept_details(enc_k, m)
+        assert doc["details"] == details
+        assert [c["derived"] for c in doc["claims"][:4]] == derived
+        assert doc["attacker_success_prob"] == derived[0]
+
+
+def test_argmax_labels_of_a_stack_is_the_list_of_each_row():
+    rng = np.random.default_rng(5)
+    dists = rng.integers(0, 3, size=(40, 8)) / 8.0
+    assert argmax_labels(dists, 3) == [argmax_labels(row, 3) for row in dists]
+
+
+def test_decode_grid_refuses_a_forced_mark_of_the_wrong_length():
+    with pytest.raises(ValueError, match="marked label '0000' does not address 3 qubits"):
+        decode_grid(1, "110", ("0000",))
+
+
+def test_batched_phase2_refuses_an_overflowing_result():
+    huge = np.full((2, 8), 1e308, dtype=np.complex128)
+    with pytest.raises(ValueError, match="finite"):
+        decode_phase2_rows(huge, ["000", "111"], huge)

@@ -1,0 +1,66 @@
+"""The package's indented JSON writer against ``json.dumps(x, indent=2)``."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groverqss._jsontext import dumps
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, np.float64(-0.0), np.float64("nan"), np.float64("-inf")])
+    | st.floats(allow_nan=False).map(np.float64)
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ∑ 😀", "\ud800"])
+)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(documents)
+@settings(max_examples=100, deadline=None)
+def test_dumps_writes_the_text_of_json_dumps_indent_2(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {1: "a", 2.5: "b", True: "c", None: "d", -0.0: "e", float("nan"): "f"},
+    {np.float64(0.1): [np.float64(1e300) * 10]},
+    [[], {}, [[]], [{}], ()],
+])
+def test_dumps_converts_keys_and_empty_containers_like_json(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+def _circular():
+    doc = {"a": []}
+    doc["a"].append(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    np.int64(1),
+    {"a": {1, 2}},
+    [np.bool_(True)],
+    {(1, 2): "tuple key"},
+    {np.int64(3): "numpy key"},
+    [b"bytes"],
+    _circular(),
+])
+def test_dumps_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(Exception) as want:
+        json.dumps(doc, indent=2)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        dumps(doc)
