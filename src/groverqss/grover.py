@@ -21,6 +21,8 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,16 +53,23 @@ def _mark_index(m: str, num_qubits: int) -> int:
     return label_to_index(m)
 
 
-def oracle_apply(s: StateVector, m: str) -> StateVector:
-    """Apply U_m: negate the amplitude at the marked label, leave the rest."""
+def _flipped(s: StateVector, m: str) -> np.ndarray:
+    """A copy of the amplitudes of ``s`` with the sign at label ``m`` flipped."""
     amps = s.amps.copy()
     amps[_mark_index(m, s.num_qubits)] *= -1
-    return StateVector._wrap(s.num_qubits, amps)
+    return amps
+
+
+def oracle_apply(s: StateVector, m: str) -> StateVector:
+    """Apply U_m: negate the amplitude at the marked label, leave the rest."""
+    return StateVector._wrap(s.num_qubits, _flipped(s, m))
 
 
 def _reflect(amps: np.ndarray, about: np.ndarray) -> np.ndarray:
     """U_S = 2|S><S| - I on the last axis: 2<S|s>|S> - |s> for one row
     ``amps`` and its axis ``about``, or row by row for two equal stacks."""
+    if amps.shape != about.shape:
+        raise ValueError("state and diffusion axis have different qubit counts")
     if amps.ndim == 1:
         out = 2 * complex(np.vdot(about, amps)) * about - amps
         finite = all(map(cmath.isfinite, out.tolist()))
@@ -80,8 +89,6 @@ def _reflect(amps: np.ndarray, about: np.ndarray) -> np.ndarray:
 
 def diffusion_apply(s: StateVector, about: StateVector) -> StateVector:
     """Apply U_S = 2|S><S| - I, i.e. return 2<S|s>|S> - |s>."""
-    if s.num_qubits != about.num_qubits:
-        raise ValueError("state and diffusion axis have different qubit counts")
     return StateVector._wrap(s.num_qubits, _reflect(s.amps, about.amps))
 
 
@@ -97,17 +104,20 @@ def argmax_labels(dist: np.ndarray, num_qubits: int) -> list:
     if dist.shape[-1] != len(labels):
         raise ValueError(f"{dist.shape[-1]} probabilities do not address {num_qubits} qubits")
     if dist.ndim == 1:
-        return _tied(dist.tolist(), labels)
-    return [_tied(probs, labels) for probs in dist.tolist()]
+        probs = dist.tolist()
+        return _tied(probs, labels, max(probs))
+    # The same cut as _tied, one comparison for the whole stack.
+    floors = dist.max(axis=-1, keepdims=True) - ARGMAX_TOL
+    return [list(compress(labels, row)) for row in (dist >= floors).tolist()]
 
 
-def _tied(probs: list[float], labels: tuple[str, ...]) -> list[str]:
-    floor = max(probs) - ARGMAX_TOL
+def _tied(probs: list[float], labels: tuple[str, ...], top: float) -> list[str]:
+    """The labels whose probability is within ARGMAX_TOL of the maximum ``top``."""
+    floor = top - ARGMAX_TOL
     return [label for label, p in zip(labels, probs) if p >= floor]
 
 
-@dataclass(frozen=True)
-class DecodePhase1Result:
+class DecodePhase1Result(NamedTuple):
     """State and statistics after the first diffusion of the decode pipeline."""
 
     state: StateVector
@@ -127,28 +137,20 @@ def decode_phase1(
     """
     st = diffusion_apply(encoded, initial)
     dist = distribution(st)
-    max_prob = float(dist.max())
-    tied = argmax_labels(dist, st.num_qubits)
-    if choose is not None:
-        if choose not in tied:
-            raise ValueError(f"forced mark {choose!r} is not in the argmax set {tied}")
-        chosen = choose
-    else:
-        chosen = tied[0]
-    return DecodePhase1Result(
-        state=st,
-        dist=dist,
-        argmax_set=frozenset(tied),
-        chosen_M=chosen,
-        max_prob=max_prob,
-    )
+    probs = dist.tolist()
+    max_prob = max(probs)
+    tied = _tied(probs, LABELS[st.num_qubits], max_prob)
+    if choose is not None and choose not in tied:
+        raise ValueError(f"forced mark {choose!r} is not in the argmax set {tied}")
+    chosen = tied[0] if choose is None else choose
+    return DecodePhase1Result(st, dist, frozenset(tied), chosen, max_prob)
 
 
 def decode_phase2(
     st: StateVector, M: str, initial: StateVector
 ) -> tuple[StateVector, np.ndarray]:
     """Second decode phase: oracle for the observed mark M, then diffuse again."""
-    final = diffusion_apply(oracle_apply(st, M), initial)
+    final = StateVector._wrap(st.num_qubits, _reflect(_flipped(st, M), initial.amps))
     return final, distribution(final)
 
 
@@ -205,10 +207,12 @@ def sample(s: StateVector, shots: int, seed: int) -> ShotCounts:
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be 1..{MAX_SHOTS}, got {shots}")
-    cdf = np.cumsum(distribution(s))[:-1]
     if type(shots) is int and shots == 1:  # True takes the buffer path's TypeError
-        index = bisect_right(cdf.tolist(), np.random.default_rng(seed).random())
+        # accumulate adds in np.cumsum's order, so these are the same doubles.
+        thresholds = list(accumulate(distribution(s).tolist()))[:-1]
+        index = bisect_right(thresholds, np.random.default_rng(seed).random())
         return ShotCounts(counts={index_to_label(index, s.num_qubits): 1}, shots=1, seed=seed)
+    cdf = np.cumsum(distribution(s))[:-1]
     # np.empty rejects a float or bool count with the TypeError rng.random gives.
     buf = np.empty(min(shots, SAMPLE_CHUNK))
     rng = np.random.default_rng(seed)

@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _jsontext
 from .catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state
-from .grover import argmax_labels, collective_op, encode, sample
-from .statevec import validate_label
+from .grover import _tied, collective_op, encode, sample
+from .statevec import LABELS, validate_label
 
 PARTICIPANTS = ("P1", "P2", "P3")
 
@@ -65,8 +66,7 @@ class RoundConfig:
             raise ValueError(f"unknown participants: {sorted(unknown)}")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: str
     data: dict
 
@@ -79,9 +79,6 @@ class ProtocolTranscript:
     """Ordered event log of one protocol round."""
 
     events: list[Event] = field(default_factory=list)
-
-    def add(self, kind: str, **data):
-        self.events.append(Event(kind, data))
 
     def of_kind(self, kind: str) -> list[Event]:
         return [e for e in self.events if e.kind == kind]
@@ -123,47 +120,38 @@ def split_secret(secret: str) -> list[Share]:
 
 def run_round(cfg: RoundConfig) -> ProtocolTranscript:
     """Execute one protocol round and return its transcript."""
-    t = ProtocolTranscript()
-    t.add("prepare", k=cfg.k, round_kind=cfg.round_kind)
     s_k = initial_state(cfg.k)
-    encoded = encode(s_k, cfg.marked)
-    for i, p in enumerate(PARTICIPANTS, start=1):
-        t.add("distribute", qubit=i, participant=p)
-    for p in PARTICIPANTS:
-        t.add("ack", participant=p)
-    t.add("announce", k=cfg.k)
-
-    phase1, final, fdist = collective_op(encoded, s_k)
+    phase1, final, fdist = collective_op(encode(s_k, cfg.marked), s_k)
+    probs = fdist.tolist()
     if cfg.measurement_mode == "top":
-        outcome = argmax_labels(fdist, 3)[0]
+        outcome = _tied(probs, LABELS[3], max(probs))[0]
     else:
-        counts = sample(final, 1, cfg.seed)
-        (outcome,) = counts.counts.keys()
-    t.add(
-        "collective_op",
-        M=phase1.chosen_M,
-        final_distribution=[round(float(p), 12) for p in fdist],
-        outcome=outcome,
-    )
-
-    for i, p in enumerate(PARTICIPANTS):
-        t.add("local_measure", participant=p, bit=int(outcome[i]))
-    for i, p in enumerate(PARTICIPANTS):
-        if p in cfg.no_declaration:
-            continue
-        bit = int(outcome[i])
-        if p in cfg.liars:
-            bit ^= 1
-        t.add("report", participant=p, bit=bit)
-
+        (outcome,) = sample(final, 1, cfg.seed).counts
+    bits = [int(b) for b in outcome]
+    events = [
+        Event("prepare", {"k": cfg.k, "round_kind": cfg.round_kind}),
+        *[Event("distribute", {"qubit": i, "participant": p})
+          for i, p in enumerate(PARTICIPANTS, start=1)],
+        *[Event("ack", {"participant": p}) for p in PARTICIPANTS],
+        Event("announce", {"k": cfg.k}),
+        Event("collective_op", {
+            "M": phase1.chosen_M,
+            "final_distribution": [round(p, 12) for p in probs],
+            "outcome": outcome,
+        }),
+        *[Event("local_measure", {"participant": p, "bit": b}) for p, b in zip(PARTICIPANTS, bits)],
+        *[Event("report", {"participant": p, "bit": b ^ (p in cfg.liars)})
+          for p, b in zip(PARTICIPANTS, bits) if p not in cfg.no_declaration],
+    ]
+    t = ProtocolTranscript(events)
     verdict, reason = dealer_verify(t, cfg.marked)
-    t.add("verdict", verdict=verdict, reason=reason)
+    events.append(Event("verdict", {"verdict": verdict, "reason": reason}))
     return t
 
 
 def dealer_verify(t: ProtocolTranscript, expected_marked: str) -> tuple[str, str]:
     """Accept iff the three reported bits reconstruct the expected mark."""
-    reports = {e.data["participant"]: e.data["bit"] for e in t.of_kind("report")}
+    reports = {e.data["participant"]: e.data["bit"] for e in t.events if e.kind == "report"}
     missing = [p for p in PARTICIPANTS if p not in reports]
     if missing:
         return "reject", f"no declaration from {', '.join(missing)}"
@@ -218,7 +206,7 @@ def run_session(
         )
         t = run_round(cfg)
         transcripts.append(t)
-        if t.verdict.data["verdict"] == "reject":
+        if t.events[-1].data["verdict"] == "reject":
             return SessionResult(transcripts, None, "reject")
         if kind == "message":
             recovered.append(marked)

@@ -102,15 +102,22 @@ def reference_final(p1_state, M, sk):
     return distribution(reference_diffusion(reference_oracle(p1_state, M), sk)).tobytes()
 
 
+def grids(enc_k, m):
+    """Each decode grid the tests build for (enc_k, m), with its overrides:
+    auto M, forced m and any spread marks, plus table 1's overrides at (1, 110)."""
+    forced = forced_marks(enc_k, m)
+    out = [(decode_grid(enc_k, m, (None, m, *forced)), {})]
+    if (enc_k, m) == (1, "110"):
+        out.append((decode_grid(enc_k, m, (None,), PUBLISHED_M_OVERRIDES), PUBLISHED_M_OVERRIDES))
+    return out
+
+
 @pytest.mark.parametrize("enc_k", range(1, 65))
 def test_batched_phase2_equals_the_per_row_reference(enc_k):
     for m in MARKS:
         forced = forced_marks(enc_k, m)
-        grids = [(decode_grid(enc_k, m, (None, m, *forced)), {})]
-        if (enc_k, m) == (1, "110"):
-            grids.append((decode_grid(enc_k, m, (None,), PUBLISHED_M_OVERRIDES),
-                          PUBLISHED_M_OVERRIDES))
-        for (phase1, finals), overrides in grids:
+        grids_m = grids(enc_k, m)
+        for (phase1, finals), overrides in grids_m:
             if overrides:  # table 1's rows k = 7, 8
                 assert [p1.chosen_M for p1 in phase1[6:8]] == ["001", "011"]
             assert [f.shape for f in finals] == [(64, 8)] * len(finals)
@@ -119,8 +126,16 @@ def test_batched_phase2_equals_the_per_row_reference(enc_k):
                 want = {M: reference_final(p1.state, M, initial_state(k)) for M in set(marks)}
                 assert [f[k - 1].tobytes() for f in finals] == [want[M] for M in marks]
         # The honest decoder recovers m as the unique most likely outcome.
-        auto = grids[0][0][1][0]
+        auto = grids_m[0][0][1][0]
         assert argmax_labels(auto[enc_k - 1], 3) == [m]
+
+
+@pytest.mark.parametrize("enc_k", range(1, 65))
+def test_argmax_labels_of_each_grid_matrix_is_the_per_row_cut(enc_k):
+    for m in MARKS:
+        for (_, finals), _ in grids(enc_k, m):
+            for f in finals:
+                assert argmax_labels(f, 3) == [argmax_labels(row, 3) for row in f]
 
 
 @pytest.mark.parametrize("enc_k", SPREAD)

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,14 @@ def test_diffusion_matches_dense_matrix():
         a = rng.normal(size=8) + 1j * rng.normal(size=8)
         s = state(a / np.linalg.norm(a))
         assert diffusion_apply(s, about).amps == pytest.approx(u @ s.amps, abs=1e-12)
+
+
+def test_reflection_refuses_axes_of_another_qubit_count():
+    s1 = initial_state(1)
+    for reflect in (lambda: diffusion_apply(basis_state("00"), s1),
+                    lambda: decode_phase2(basis_state("00"), "01", s1)):
+        with pytest.raises(ValueError, match="different qubit counts"):
+            reflect()
 
 
 def test_encode_s1():
@@ -260,6 +270,21 @@ def test_one_shot_sample_matches_searchsorted_on_every_final_state(final_states)
     for i, s in enumerate(final_states):
         for seed in (0, 1, 2**32 + i, 7919 * i + 3):
             assert_same_counts(s, 1, seed)
+
+
+def test_one_shot_thresholds_are_the_cumsum_doubles(final_states):
+    # The one-shot path sums with accumulate; np.cumsum adds in the same order.
+    for s in final_states:
+        probs = distribution(s)
+        assert list(accumulate(probs.tolist()))[:-1] == np.cumsum(probs)[:-1].tolist()
+
+
+def test_one_shot_sample_is_the_searchsorted_draw(final_states):
+    for seed in range(200):
+        s = final_states[seed * 5 % len(final_states)]
+        u = np.random.default_rng(seed).random()
+        index = int(np.searchsorted(np.cumsum(distribution(s)), u, side="right"))
+        assert sample(s, 1, seed).counts == {index_to_label(index, 3): 1}
 
 
 def test_one_shot_sample_builds_one_generator_and_draws_once(monkeypatch):

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from groverqss.catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS
 from groverqss.protocol import (
     PARTICIPANTS,
+    Event,
     ProtocolTranscript,
     RoundConfig,
     Share,
@@ -55,6 +57,20 @@ def test_honest_round_accepts():
     assert t.verdict.data["verdict"] == "accept"
 
 
+@pytest.mark.parametrize("k", range(1, 65))
+def test_every_honest_round_recovers_its_mark_exactly(k):
+    rounds = [("message", m) for m in sorted(MESSAGE_MARKS)]
+    rounds += [("cheat_detect", m) for m in sorted(CHEAT_DETECT_MARKS)]
+    for kind, marked in rounds:
+        t = run_round(RoundConfig(k=k, marked=marked, round_kind=kind))
+        (op,) = t.of_kind("collective_op")
+        assert op.data["M"] == op.data["outcome"] == marked
+        # 1936/2048 at the mark and 16/2048 elsewhere, exact after rounding.
+        want = [1936 / 2048 if i == int(marked, 2) else 16 / 2048 for i in range(8)]
+        assert op.data["final_distribution"] == want
+        assert t.verdict.data["verdict"] == "accept"
+
+
 def test_lying_round_rejected():
     cfg = RoundConfig(
         k=1, marked="101", round_kind="message", liars=frozenset({"P1", "P2"})
@@ -88,15 +104,16 @@ def test_announce_after_acks():
 
 
 def test_dealer_verify_direct():
-    t = ProtocolTranscript()
-    for p, bit in zip(PARTICIPANTS, (1, 1, 0)):
-        t.add("report", participant=p, bit=bit)
+    t = ProtocolTranscript(
+        [Event("report", {"participant": p, "bit": bit}) for p, bit in zip(PARTICIPANTS, (1, 1, 0))]
+    )
     assert dealer_verify(t, "110") == ("accept", "reports match the marked state")
     assert dealer_verify(t, "101")[0] == "reject"
 
-    partial = ProtocolTranscript()
-    partial.add("report", participant="P1", bit=0)
-    partial.add("report", participant="P2", bit=1)
+    partial = ProtocolTranscript([
+        Event("report", {"participant": "P1", "bit": 0}),
+        Event("report", {"participant": "P2", "bit": 1}),
+    ])
     verdict, reason = dealer_verify(partial, "011")
     assert verdict == "reject" and "no declaration" in reason
 
