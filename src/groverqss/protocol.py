@@ -128,6 +128,8 @@ def run_round(cfg: RoundConfig) -> ProtocolTranscript:
     else:
         (outcome,) = sample(final, 1, cfg.seed).counts
     bits = [int(b) for b in outcome]
+    # A decode has few distinct probabilities; round each once.
+    rounded = {p: round(p, 12) for p in set(probs)}
     events = [
         Event("prepare", {"k": cfg.k, "round_kind": cfg.round_kind}),
         *[Event("distribute", {"qubit": i, "participant": p})
@@ -136,7 +138,7 @@ def run_round(cfg: RoundConfig) -> ProtocolTranscript:
         Event("announce", {"k": cfg.k}),
         Event("collective_op", {
             "M": phase1.chosen_M,
-            "final_distribution": [round(p, 12) for p in probs],
+            "final_distribution": [rounded[p] for p in probs],
             "outcome": outcome,
         }),
         *[Event("local_measure", {"participant": p, "bit": b}) for p, b in zip(PARTICIPANTS, bits)],
@@ -151,11 +153,11 @@ def run_round(cfg: RoundConfig) -> ProtocolTranscript:
 
 def dealer_verify(t: ProtocolTranscript, expected_marked: str) -> tuple[str, str]:
     """Accept iff the three reported bits reconstruct the expected mark."""
-    reports = {e.data["participant"]: e.data["bit"] for e in t.events if e.kind == "report"}
+    reports = {e.data["participant"]: str(e.data["bit"]) for e in t.events if e.kind == "report"}
     missing = [p for p in PARTICIPANTS if p not in reports]
     if missing:
         return "reject", f"no declaration from {', '.join(missing)}"
-    reconstructed = "".join(str(reports[p]) for p in PARTICIPANTS)
+    reconstructed = "".join(map(reports.get, PARTICIPANTS))
     if reconstructed != expected_marked:
         return "reject", f"reconstructed {reconstructed} != expected {expected_marked}"
     return "accept", "reports match the marked state"
