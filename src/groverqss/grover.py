@@ -21,7 +21,7 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -106,9 +106,7 @@ def argmax_labels(dist: np.ndarray, num_qubits: int) -> list:
     if dist.ndim == 1:
         probs = dist.tolist()
         return _tied(probs, labels, max(probs))
-    # The same cut as _tied, one comparison for the whole stack.
-    floors = dist.max(axis=-1, keepdims=True) - ARGMAX_TOL
-    return [list(compress(labels, row)) for row in (dist >= floors).tolist()]
+    return [_tied(probs, labels, max(probs)) for probs in dist.tolist()]
 
 
 def _tied(probs: list[float], labels: tuple[str, ...], top: float) -> list[str]:

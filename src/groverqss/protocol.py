@@ -18,8 +18,8 @@ import numpy as np
 
 from . import _jsontext
 from .catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state
-from .grover import _tied, collective_op, encode, sample
-from .statevec import LABELS, validate_label
+from .grover import argmax_labels, collective_op, encode, sample
+from .statevec import validate_label
 
 PARTICIPANTS = ("P1", "P2", "P3")
 
@@ -122,14 +122,11 @@ def run_round(cfg: RoundConfig) -> ProtocolTranscript:
     """Execute one protocol round and return its transcript."""
     s_k = initial_state(cfg.k)
     phase1, final, fdist = collective_op(encode(s_k, cfg.marked), s_k)
-    probs = fdist.tolist()
     if cfg.measurement_mode == "top":
-        outcome = _tied(probs, LABELS[3], max(probs))[0]
+        outcome = argmax_labels(fdist, 3)[0]
     else:
         (outcome,) = sample(final, 1, cfg.seed).counts
     bits = [int(b) for b in outcome]
-    # A decode has few distinct probabilities; round each once.
-    rounded = {p: round(p, 12) for p in set(probs)}
     events = [
         Event("prepare", {"k": cfg.k, "round_kind": cfg.round_kind}),
         *[Event("distribute", {"qubit": i, "participant": p})
@@ -138,7 +135,7 @@ def run_round(cfg: RoundConfig) -> ProtocolTranscript:
         Event("announce", {"k": cfg.k}),
         Event("collective_op", {
             "M": phase1.chosen_M,
-            "final_distribution": [rounded[p] for p in probs],
+            "final_distribution": [round(p, 12) for p in fdist.tolist()],
             "outcome": outcome,
         }),
         *[Event("local_measure", {"participant": p, "bit": b}) for p, b in zip(PARTICIPANTS, bits)],
