@@ -6,7 +6,9 @@ state.  Decoding runs one diffusion, reads off the highest-probability
 outcome M, then runs the oracle for M followed by a second diffusion.
 ``decode_phase2_rows`` runs that second phase on a stack of rows at once,
 with the same reflection kernel as ``diffusion_apply``, for the 64-row
-decode grid of the tables and the intercept audit.
+decode grid of the tables and the intercept audit.  ``decode_relative``
+runs both phases exactly, on the Gaussian-integer relative phase between
+the encoded and the decoding catalog state; the protocol round uses it.
 
 Shot sampling uses inverse-CDF draws from NumPy's PCG64 generator
 (``numpy.random.default_rng(seed)``), so counts are reproducible across
@@ -20,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
@@ -164,6 +167,56 @@ def decode_phase2_rows(states: np.ndarray, marks: list[str], about: np.ndarray) 
     flipped = states.copy()
     flipped[np.arange(len(flipped)), [_mark_index(M, num_qubits) for M in marks]] *= -1
     return np.abs(_reflect(flipped, about)) ** 2
+
+
+class ExactDecode(NamedTuple):
+    """Both decode phases of r ⊙ e_m about S_1, as exact Gaussian integers.
+
+    The phase-1 state is n1 / (4√8) and the final one n2 / (16√8), so the
+    probabilities |n1|²/128 and |n2|²/2048 are exact dyadic floats.
+    """
+
+    phase1_dist: list[float]
+    argmax_set: list[str]
+    chosen_M: str
+    n2: list[complex]
+    final_dist: list[float]
+    final_set: list[str]
+
+
+def _exact_step(x: list[complex], flip: int) -> list[complex]:
+    """The oracle at ``flip``, then U_{S_1}, on 8 Gaussian integers: the
+    flipped y goes to (Σy)·1 − 4y, i.e. 4× the reflection about 1/√8."""
+    y = x.copy()
+    y[flip] = -y[flip]
+    total = sum(y)
+    return [total - 4 * v for v in y]
+
+
+def _exact_probs(n: list[complex], scale: int) -> list[float]:
+    # |v|² term by term: abs() would take a square root and round.
+    return [(v.real * v.real + v.imag * v.imag) / scale for v in n]
+
+
+def decode_relative(r: Sequence[complex], m: str, choose: str | None = None) -> ExactDecode:
+    """Decode exactly from a relative-phase row ``r`` of 8 Gaussian integers.
+
+    Every oracle is diagonal, so decoding |S_enc>_m with S_k equals
+    D_k applied to the decode of r ⊙ e_m / √8 with S_1, where r = conj(V_k)
+    ⊙ V_enc for the catalog rows V and e_m is all ones with the sign at m
+    flipped.  M is the smallest label of the phase-1 tie set unless
+    ``choose`` forces a member of it, as in ``decode_phase1``.
+    """
+    labels = LABELS[3]
+    n1 = _exact_step(list(r), _mark_index(m, 3))
+    p1 = _exact_probs(n1, 128)
+    tied = _tied(p1, labels, max(p1))
+    if choose is not None and choose not in tied:
+        raise ValueError(f"forced mark {choose!r} is not in the argmax set {tied}")
+    chosen = tied[0] if choose is None else choose
+    n2 = _exact_step(n1, label_to_index(chosen))
+    p2 = _exact_probs(n2, 2048)
+    return ExactDecode(p1, tied, chosen, n2, p2, _tied(p2, labels, max(p2)))
 
 
 def collective_op(

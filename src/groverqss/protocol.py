@@ -18,8 +18,8 @@ import numpy as np
 
 from . import _jsontext
 from .catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state
-from .grover import argmax_labels, collective_op, encode, sample
-from .statevec import validate_label
+from .grover import decode_relative, sample
+from .statevec import StateVector, validate_label
 
 PARTICIPANTS = ("P1", "P2", "P3")
 
@@ -27,6 +27,10 @@ PARTICIPANTS = ("P1", "P2", "P3")
 #: argmax set; "sampled" draws a single seeded shot from the final
 #: distribution, exposing the ~1 - 0.945 failure channel.
 MEASUREMENT_MODES = ("top", "sampled")
+
+#: The relative phase conj(V_k) ⊙ V_k of an honest round: all ones for every
+#: k, so each round decodes exactly from this one row.
+HONEST_PHASE = (1,) * 8
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,8 @@ class RoundConfig:
     measurement_mode: str = "top"
 
     def __post_init__(self):
+        if type(self.k) is not int or not 1 <= self.k <= 64:
+            raise ValueError(f"round 'k' must be an integer in 1..64, got {self.k!r}")
         if self.round_kind not in ("message", "cheat_detect"):
             raise ValueError(f"unknown round kind {self.round_kind!r}")
         marks = MESSAGE_MARKS if self.round_kind == "message" else CHEAT_DETECT_MARKS
@@ -121,10 +127,12 @@ def split_secret(secret: str) -> list[Share]:
 def run_round(cfg: RoundConfig) -> ProtocolTranscript:
     """Execute one protocol round and return its transcript."""
     s_k = initial_state(cfg.k)
-    phase1, final, fdist = collective_op(encode(s_k, cfg.marked), s_k)
+    dec = decode_relative(HONEST_PHASE, cfg.marked)
     if cfg.measurement_mode == "top":
-        outcome = argmax_labels(fdist, 3)[0]
+        outcome = dec.final_set[0]
     else:
+        # The final state is D_k applied to n2 / (16√8), i.e. S_k ⊙ n2 / 16.
+        final = StateVector._wrap(3, s_k.amps * np.array(dec.n2) / 16)
         (outcome,) = sample(final, 1, cfg.seed).counts
     bits = [int(b) for b in outcome]
     events = [
@@ -134,8 +142,8 @@ def run_round(cfg: RoundConfig) -> ProtocolTranscript:
         *[Event("ack", {"participant": p}) for p in PARTICIPANTS],
         Event("announce", {"k": cfg.k}),
         Event("collective_op", {
-            "M": phase1.chosen_M,
-            "final_distribution": [round(p, 12) for p in fdist.tolist()],
+            "M": dec.chosen_M,
+            "final_distribution": dec.final_dist,
             "outcome": outcome,
         }),
         *[Event("local_measure", {"participant": p, "bit": b}) for p, b in zip(PARTICIPANTS, bits)],

@@ -4,10 +4,13 @@
 choice.  Every (enc_k, m) is checked here: the final distributions must be
 bit-identical to the validated per-row reference, and the tables and the
 intercept audit built from them must equal those built by the per-row
-loop that the grid replaced.
+loop that the grid replaced.  The exact kernel ``decode_relative`` is held
+to the same grid over every (enc_k, m, k).
 """
 
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from groverqss.catalog import (
     generate_table1,
     generate_table2,
     initial_state,
+    phase_table,
     round3,
 )
 from groverqss.grover import (
@@ -29,6 +33,7 @@ from groverqss.grover import (
     decode_phase1,
     decode_phase2,
     decode_phase2_rows,
+    decode_relative,
     encode,
 )
 from groverqss.statevec import distribution, label_to_index
@@ -102,6 +107,7 @@ def reference_final(p1_state, M, sk):
     return distribution(reference_diffusion(reference_oracle(p1_state, M), sk)).tobytes()
 
 
+@functools.cache
 def grids(enc_k, m):
     """Each decode grid the tests build for (enc_k, m), with its overrides:
     auto M, forced m and any spread marks, plus table 1's overrides at (1, 110)."""
@@ -154,6 +160,35 @@ def test_tables_and_audit_equal_the_per_row_loop(enc_k, monkeypatch):
         assert doc["details"] == details
         assert [c["derived"] for c in doc["claims"][:4]] == derived
         assert doc["attacker_success_prob"] == derived[0]
+
+
+def within_16_ulps(got, exact):
+    return all(abs(g - e) <= 16 * math.ulp(e) for g, e in zip(got, exact))
+
+
+@pytest.mark.parametrize("enc_k", range(1, 65))
+def test_exact_kernel_equals_the_decode_grid(enc_k):
+    """Decoding |S_enc>_m with S_k is the exact decode of the relative phase
+    conj(V_k) ⊙ V_enc, for every decoder k and mark m."""
+    table = phase_table()
+    rows = (table.conj() * table[enc_k - 1]).tolist()
+    for m in MARKS:
+        for (phase1, (auto, *_)), overrides in grids(enc_k, m):
+            for k, p1, r, fdist in zip(range(1, 65), phase1, rows, auto):
+                d = decode_relative(r, m, overrides.get(k))
+                assert (d.argmax_set, d.chosen_M) == (sorted(p1.argmax_set), p1.chosen_M)
+                assert d.final_set == argmax_labels(fdist, 3)
+                assert within_16_ulps(p1.dist.tolist(), d.phase1_dist)
+                assert within_16_ulps(fdist.tolist(), d.final_dist)
+                # Unitarity: the integer numerators sum to 128 and 2048.
+                assert sum(p * 128 for p in d.phase1_dist) == 128
+                assert sum(p * 2048 for p in d.final_dist) == 2048
+                assert all(v.real.is_integer() and v.imag.is_integer() for v in d.n2)
+
+
+def test_exact_kernel_refuses_a_forced_mark_outside_the_tie_set():
+    with pytest.raises(ValueError, match="forced mark '000' is not in the argmax set"):
+        decode_relative([1] * 8, "110", "000")
 
 
 def test_argmax_labels_of_a_stack_is_the_list_of_each_row():

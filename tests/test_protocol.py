@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from groverqss.catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS
+from groverqss.catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state, phase_table
+from groverqss.grover import collective_op, encode, sample
 from groverqss.protocol import (
+    HONEST_PHASE,
     PARTICIPANTS,
     Event,
     ProtocolTranscript,
@@ -16,6 +18,10 @@ from groverqss.protocol import (
     run_session_from_config,
     split_secret,
 )
+
+#: Every (round kind, mark) a round can carry.
+ROUNDS = [("message", m) for m in sorted(MESSAGE_MARKS)]
+ROUNDS += [("cheat_detect", m) for m in sorted(CHEAT_DETECT_MARKS)]
 
 
 def test_split_secret_nine_bit_example():
@@ -50,6 +56,29 @@ def test_round_config_mark_consistency():
         RoundConfig(k=1, marked="110", round_kind="message", liars=frozenset({"P9"}))
 
 
+@pytest.mark.parametrize("k", [True, False, 0, 65, -1, 3.0, "3", None])
+def test_round_config_refuses_a_k_outside_the_catalog(k):
+    with pytest.raises(ValueError, match="round 'k' must be an integer in 1..64"):
+        RoundConfig(k=k, marked="110", round_kind="message")
+
+
+def test_honest_phase_is_every_catalog_row_against_itself():
+    table = phase_table()
+    assert (table.conj() * table).tolist() == [list(HONEST_PHASE)] * 64
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_sampled_round_picks_the_float_decode_outcome(k):
+    sk = initial_state(k)
+    for kind, marked in ROUNDS:
+        final = collective_op(encode(sk, marked), sk)[1]
+        for seed in range(8):
+            cfg = RoundConfig(k=k, marked=marked, round_kind=kind, seed=seed,
+                              measurement_mode="sampled")
+            (op,) = run_round(cfg).of_kind("collective_op")
+            assert [op.data["outcome"]] == list(sample(final, 1, seed).counts)
+
+
 def test_honest_round_accepts():
     t = run_round(RoundConfig(k=1, marked="110", round_kind="message"))
     reports = [e.data["bit"] for e in t.of_kind("report")]
@@ -59,9 +88,7 @@ def test_honest_round_accepts():
 
 @pytest.mark.parametrize("k", range(1, 65))
 def test_every_honest_round_recovers_its_mark_exactly(k):
-    rounds = [("message", m) for m in sorted(MESSAGE_MARKS)]
-    rounds += [("cheat_detect", m) for m in sorted(CHEAT_DETECT_MARKS)]
-    for kind, marked in rounds:
+    for kind, marked in ROUNDS:
         t = run_round(RoundConfig(k=k, marked=marked, round_kind=kind))
         (op,) = t.of_kind("collective_op")
         assert op.data["M"] == op.data["outcome"] == marked
