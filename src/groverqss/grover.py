@@ -198,25 +198,27 @@ def _exact_probs(n: list[complex], scale: int) -> list[float]:
     return [(v.real * v.real + v.imag * v.imag) / scale for v in n]
 
 
-def decode_relative(r: Sequence[complex], m: str, choose: str | None = None) -> ExactDecode:
+def decode_relative(r: Sequence[complex], m: str) -> ExactDecode:
     """Decode exactly from a relative-phase row ``r`` of 8 Gaussian integers.
 
     Every oracle is diagonal, so decoding |S_enc>_m with S_k equals
     D_k applied to the decode of r ⊙ e_m / √8 with S_1, where r = conj(V_k)
     ⊙ V_enc for the catalog rows V and e_m is all ones with the sign at m
-    flipped.  M is the smallest label of the phase-1 tie set unless
-    ``choose`` forces a member of it, as in ``decode_phase1``.
+    flipped.  M is the smallest label of the phase-1 tie set.
     """
     labels = LABELS[3]
     n1 = _exact_step(list(r), _mark_index(m, 3))
     p1 = _exact_probs(n1, 128)
     tied = _tied(p1, labels, max(p1))
-    if choose is not None and choose not in tied:
-        raise ValueError(f"forced mark {choose!r} is not in the argmax set {tied}")
-    chosen = tied[0] if choose is None else choose
-    n2 = _exact_step(n1, label_to_index(chosen))
+    n2 = _exact_step(n1, label_to_index(tied[0]))
     p2 = _exact_probs(n2, 2048)
-    return ExactDecode(p1, tied, chosen, n2, p2, _tied(p2, labels, max(p2)))
+    return ExactDecode(p1, tied, tied[0], n2, p2, _tied(p2, labels, max(p2)))
+
+
+def exact_final_state(decoding: StateVector, n2: Sequence[complex]) -> StateVector:
+    """The final state of ``decode_relative`` decoding with the catalog
+    state S_k: D_k applied to n2 / (16√8), i.e. S_k ⊙ n2 / 16."""
+    return StateVector._wrap(3, decoding.amps * np.array(n2) / 16)
 
 
 def collective_op(

@@ -10,6 +10,7 @@ cryptography is simulated.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import _jsontext
 from .catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state
-from .grover import decode_relative, sample
-from .statevec import StateVector, validate_label
+from .grover import decode_relative, exact_final_state, sample
+from .statevec import validate_label
 
 PARTICIPANTS = ("P1", "P2", "P3")
 
@@ -56,8 +57,13 @@ class RoundConfig:
     measurement_mode: str = "top"
 
     def __post_init__(self):
-        if type(self.k) is not int or not 1 <= self.k <= 64:
+        try:
+            k = operator.index(self.k)
+        except TypeError:
+            k = None
+        if k is None or isinstance(self.k, bool) or not 1 <= k <= 64:
             raise ValueError(f"round 'k' must be an integer in 1..64, got {self.k!r}")
+        object.__setattr__(self, "k", k)  # e.g. np.int64(5) is kept as the int 5
         if self.round_kind not in ("message", "cheat_detect"):
             raise ValueError(f"unknown round kind {self.round_kind!r}")
         marks = MESSAGE_MARKS if self.round_kind == "message" else CHEAT_DETECT_MARKS
@@ -131,9 +137,7 @@ def run_round(cfg: RoundConfig) -> ProtocolTranscript:
     if cfg.measurement_mode == "top":
         outcome = dec.final_set[0]
     else:
-        # The final state is D_k applied to n2 / (16√8), i.e. S_k ⊙ n2 / 16.
-        final = StateVector._wrap(3, s_k.amps * np.array(dec.n2) / 16)
-        (outcome,) = sample(final, 1, cfg.seed).counts
+        (outcome,) = sample(exact_final_state(s_k, dec.n2), 1, cfg.seed).counts
     bits = [int(b) for b in outcome]
     events = [
         Event("prepare", {"k": cfg.k, "round_kind": cfg.round_kind}),

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from groverqss.catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state, phase_table
@@ -60,6 +61,13 @@ def test_round_config_mark_consistency():
 def test_round_config_refuses_a_k_outside_the_catalog(k):
     with pytest.raises(ValueError, match="round 'k' must be an integer in 1..64"):
         RoundConfig(k=k, marked="110", round_kind="message")
+
+
+@pytest.mark.parametrize("k", [1, 5, 64, np.int64(5)])
+def test_round_config_takes_any_integer_k_in_the_catalog(k):
+    cfg = RoundConfig(k=k, marked="110", round_kind="message")
+    assert type(cfg.k) is int and cfg.k == k
+    assert json.loads(run_round(cfg).to_json())[0]["k"] == k
 
 
 def test_honest_phase_is_every_catalog_row_against_itself():
