@@ -25,7 +25,7 @@ from .grover import (
     encode,
     oracle_apply,
 )
-from .statevec import PHASES, StateVector, distribution, index_to_label, label_to_index
+from .statevec import LABELS, PHASES, StateVector, distribution, label_to_index
 
 #: Basis indices of the cheat-detect marks, ascending.
 _CHEAT_DETECT_INDICES = tuple(sorted(map(label_to_index, CHEAT_DETECT_MARKS)))
@@ -271,7 +271,7 @@ def intercept_resend_analysis() -> AttackReport:
     * dealer sent a cheat-detect round: detected iff m' differs from the
       dealer's mark.
     """
-    marks = [index_to_label(i, 3) for i in range(8)]
+    marks = LABELS[3]
     msg_detect = Fraction(
         sum(1 for mp in marks if mp in CHEAT_DETECT_MARKS), len(marks)
     )

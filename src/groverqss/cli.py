@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import _jsontext, attacks, catalog, grover, protocol
-from .statevec import label_to_index
+from .statevec import LABELS
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -81,7 +81,6 @@ def cmd_sample(args) -> int:
     s_k = catalog.initial_state(args.k)
     _, final, dist = grover.collective_op(grover.encode(s_k, args.m), s_k)
     counts = grover.sample(final, args.shots, args.seed)
-    labels = [format(i, "03b") for i in range(8)]
     doc = {
         "k": args.k,
         "m": args.m,
@@ -90,12 +89,12 @@ def cmd_sample(args) -> int:
         "outcomes": [
             {
                 "label": lab,
-                "exact_p": float(f"{dist[label_to_index(lab)]:.12g}"),
-                "exact_p_3dp": catalog.round3(float(dist[label_to_index(lab)])),
+                "exact_p": float(f"{p:.12g}"),
+                "exact_p_3dp": catalog.round3(float(p)),
                 "count": counts.counts.get(lab, 0),
                 "empirical_p": counts.counts.get(lab, 0) / args.shots,
             }
-            for lab in labels
+            for lab, p in zip(LABELS[3], dist)
         ],
     }
     if args.format == "json":

@@ -20,7 +20,6 @@ import numpy as np
 from . import _jsontext
 from .catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state
 from .grover import decode_relative, exact_final_state, sample
-from .statevec import validate_label
 
 PARTICIPANTS = ("P1", "P2", "P3")
 
@@ -32,18 +31,6 @@ MEASUREMENT_MODES = ("top", "sampled")
 #: The relative phase conj(V_k) ⊙ V_k of an honest round: all ones for every
 #: k, so each round decodes exactly from this one row.
 HONEST_PHASE = (1,) * 8
-
-
-@dataclass(frozen=True)
-class Share:
-    """A 3-bit secret share, restricted to the message mark alphabet."""
-
-    bits: str
-
-    def __post_init__(self):
-        validate_label(self.bits)
-        if len(self.bits) != 3:
-            raise ValueError(f"share must be 3 bits, got {self.bits!r}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +98,7 @@ class SessionResult:
     verdict: str  # "accept" or "reject"
 
 
-def split_secret(secret: str) -> list[Share]:
+def split_secret(secret: str) -> list[str]:
     """Split a bit string into consecutive 3-bit shares.
 
     Every chunk must belong to the message alphabet; the protocol only ever
@@ -126,7 +113,7 @@ def split_secret(secret: str) -> list[Share]:
         chunk = secret[i : i + 3]
         if chunk not in MESSAGE_MARKS:
             raise ValueError(f"chunk {chunk!r} is outside the message set")
-        shares.append(Share(chunk))
+        shares.append(chunk)
     return shares
 
 
@@ -201,7 +188,7 @@ def run_session(
     for entry in schedule:
         kind = entry["kind"]
         if kind == "message":
-            marked = next(share_iter).bits
+            marked = next(share_iter)
         else:
             marked = entry.get("marked")
             if marked is None:

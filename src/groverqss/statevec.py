@@ -1,4 +1,5 @@
-"""Exact complex-amplitude state vectors for 1-4 qubits.
+"""Exact complex-amplitude state vectors: 3 protocol qubits, or 4 with the
+attack ancilla.
 
 Bit ordering is big-endian throughout: the leftmost symbol of a ket label
 is the most significant bit of the basis index, so ``"110"`` is index 6.
@@ -12,29 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Absolute tolerance for "exact" amplitude comparisons.  Every amplitude in
-#: scope is a small rational over sqrt(2) or sqrt(8), far above double
-#: rounding noise.
-ATOL = 1e-12
-
-#: Hard cap on system size: 3 protocol qubits plus 1 ancilla.
-MAX_QUBITS = 4
-
 #: Relative phase of each eigenstate symbol: |s> = (|0> + PHASES[s]|1>)/sqrt 2.
 PHASES = {"+": 1, "-": -1, "+i": 1j, "-i": -1j}
 
-
-def validate_label(label: str) -> str:
-    """Check that ``label`` is a non-empty bit string of at most MAX_QUBITS bits."""
-    if not label or any(c not in "01" for c in label):
-        raise ValueError(f"not a bit string: {label!r}")
-    if len(label) > MAX_QUBITS:
-        raise ValueError(f"label {label!r} exceeds {MAX_QUBITS} qubits")
-    return label
-
-
-#: Every ket label of 1..MAX_QUBITS qubits, by qubit count, in index order.
-LABELS = {n: tuple(format(i, f"0{n}b") for i in range(2**n)) for n in range(1, MAX_QUBITS + 1)}
+#: Every ket label of 3 and of 4 qubits, by qubit count, in index order.
+LABELS = {n: tuple(format(i, f"0{n}b") for i in range(2**n)) for n in (3, 4)}
 
 _INDEX = {label: i for labels in LABELS.values() for i, label in enumerate(labels)}
 
@@ -44,21 +27,16 @@ def label_to_index(label: str) -> int:
     try:
         return _INDEX[label]
     except (KeyError, TypeError):
-        # Every valid label is in the table, so this raises with the message.
-        return int(validate_label(label), 2)
+        if isinstance(label, str) and label and not label.strip("01"):
+            raise ValueError(f"label {label!r} is not 3 or 4 qubits") from None
+        raise ValueError(f"not a bit string: {label!r}") from None
 
 
 def index_to_label(index: int, num_qubits: int) -> str:
     labels = LABELS.get(num_qubits, ())
-    if type(index) is int and 0 <= index < len(labels):
-        return labels[index]
-    if not 0 <= index < 2**num_qubits:
+    if not 0 <= index < len(labels):
         raise ValueError(f"index {index} out of range for {num_qubits} qubits")
-    return format(index, f"0{num_qubits}b")
-
-
-def all_labels(num_qubits: int) -> list[str]:
-    return [index_to_label(i, num_qubits) for i in range(2**num_qubits)]
+    return labels[index]
 
 
 @dataclass(frozen=True)
@@ -69,8 +47,8 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}, got {self.num_qubits}")
+        if self.num_qubits not in LABELS:
+            raise ValueError(f"num_qubits must be 3 or 4, got {self.num_qubits}")
         amps = np.asarray(self.amps, dtype=np.complex128)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
@@ -95,47 +73,6 @@ class StateVector:
         object.__setattr__(s, "num_qubits", num_qubits)
         object.__setattr__(s, "amps", amps)
         return s
-
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
-    def amp(self, label: str) -> complex:
-        """Amplitude at a ket label, e.g. s.amp('110')."""
-        if len(label) != self.num_qubits:
-            raise ValueError(f"label {label!r} does not address {self.num_qubits} qubits")
-        return complex(self.amps[label_to_index(label)])
-
-    def isclose(self, other: "StateVector", atol: float = ATOL) -> bool:
-        return (
-            self.num_qubits == other.num_qubits
-            and float(np.max(np.abs(self.amps - other.amps))) <= atol
-        )
-
-
-def state(amps) -> StateVector:
-    """Build a StateVector from a raw amplitude sequence of length 2**n."""
-    amps = np.asarray(amps, dtype=np.complex128)
-    return StateVector(int(amps.shape[0]).bit_length() - 1, amps)
-
-
-def basis_state(label: str) -> StateVector:
-    """Computational basis state |label>."""
-    n = len(validate_label(label))
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[label_to_index(label)] = 1.0
-    return StateVector(n, amps)
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with conjugation on a."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("inner product of states with different qubit counts")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def norm(s: StateVector) -> float:
-    return float(np.linalg.norm(s.amps))
 
 
 def distribution(s: StateVector) -> np.ndarray:

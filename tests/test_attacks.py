@@ -18,7 +18,7 @@ from groverqss.attacks import (
     sign_flip_basis,
 )
 from groverqss.catalog import CHEAT_DETECT_MARKS, initial_state
-from groverqss.statevec import basis_state, state
+from groverqss.statevec import StateVector
 
 SQRT8 = np.sqrt(8.0)
 
@@ -299,7 +299,7 @@ def test_entangle_measure_matches_kron_reference(control):
 
 
 def test_marginal_over_ancilla():
-    s = state(np.kron(basis_state("101").amps, np.array([0, 1], dtype=complex)))
+    s = StateVector(4, np.kron(np.eye(8)[5], [0, 1]))
     marg = marginal_over_ancilla(s)
     assert marg == pytest.approx([0, 0, 0, 0, 0, 1, 0, 0], abs=1e-12)
 

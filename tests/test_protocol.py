@@ -11,7 +11,6 @@ from groverqss.protocol import (
     Event,
     ProtocolTranscript,
     RoundConfig,
-    Share,
     dealer_verify,
     load_session_config,
     run_round,
@@ -26,11 +25,11 @@ ROUNDS += [("cheat_detect", m) for m in sorted(CHEAT_DETECT_MARKS)]
 
 
 def test_split_secret_nine_bit_example():
-    assert [s.bits for s in split_secret("110011101")] == ["110", "011", "101"]
+    assert split_secret("110011101") == ["110", "011", "101"]
 
 
 def test_split_secret_single_chunk():
-    assert [s.bits for s in split_secret("110")] == ["110"]
+    assert split_secret("110") == ["110"]
 
 
 def test_split_secret_cheat_chunk_rejected():
@@ -41,11 +40,6 @@ def test_split_secret_cheat_chunk_rejected():
 def test_split_secret_bad_length():
     with pytest.raises(ValueError, match="multiple of 3"):
         split_secret("1100")
-
-
-def test_share_validation():
-    with pytest.raises(ValueError):
-        Share("11")
 
 
 def test_round_config_mark_consistency():
