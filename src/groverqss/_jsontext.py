@@ -2,10 +2,13 @@
 
 CPython's ``json`` uses its C encoder only when ``indent`` is None; with an
 indent, every value passes through a chain of Python generators.  ``dumps``
-writes the same text with one type dispatch per value.  Strings go through
-the encoder's own ASCII escaping, and the rules for floats, dict keys,
-unsupported values and circular references are those of ``json.dumps``
-with its defaults.
+writes the same text with one type dispatch per value, for the documents
+the package writes: ``str`` dict keys, and scalars of exactly the built-in
+types ``str``, ``int``, ``float``, ``bool`` and None.  Anything else, a
+subclass such as ``np.float64`` included, raises a ``TypeError`` that names
+its type.  Strings go through the encoder's own ASCII escaping, and the
+rules for floats (NaN and the infinities too) and circular references are
+those of ``json.dumps`` with its defaults.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
-#: Text of a scalar, by exact type; subclasses take the slower path in _emit.
-#: Containers test this first for each value, to skip a call of _emit.
+#: Text of a scalar, by exact type.  Containers test this first for each
+#: value, to skip a call of _emit.
 _SCALARS = {
     str: _escape,
     type(None): "null".format,
@@ -50,12 +53,6 @@ def _emit(x, chunks: list[str], newline: str, open_ids: set[int]):
         chunks.append(text(x))
     elif isinstance(x, (list, tuple, dict)):
         _container(x, chunks, newline, open_ids)
-    elif isinstance(x, str):  # json's order for subclasses; bool has none
-        chunks.append(_escape(x))
-    elif isinstance(x, int):
-        chunks.append(int.__repr__(x))
-    elif isinstance(x, float):
-        chunks.append(_float(x))
     else:
         raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
 
@@ -72,7 +69,9 @@ def _container(x, chunks: list[str], newline: str, open_ids: set[int]):
     sep = ("{" if is_dict else "[") + inner
     if is_dict:
         for key, value in x.items():
-            sep += (_escape(key) if key.__class__ is str else _key(key)) + ": "
+            if key.__class__ is not str:
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            sep += _escape(key) + ": "
             text = _SCALARS.get(value.__class__)
             if text is not None:
                 chunks.append(sep + text(value))
@@ -91,16 +90,3 @@ def _container(x, chunks: list[str], newline: str, open_ids: set[int]):
             sep = "," + inner
     chunks.append(newline + ("}" if is_dict else "]"))
     open_ids.discard(id(x))
-
-
-def _key(key) -> str:
-    """A dict key as json.dumps writes it: a string, or a scalar's text quoted."""
-    if isinstance(key, str):
-        return _escape(key)
-    if key is None or key is True or key is False:
-        return _escape(_SCALARS[key.__class__](key))
-    if isinstance(key, int):
-        return _escape(int.__repr__(key))
-    if isinstance(key, float):
-        return _escape(_float(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")

@@ -128,6 +128,8 @@ _STATES: dict[int, StateVector] = {}
 
 def initial_state(k: int) -> StateVector:
     """The catalog state S_k, built on first use and then shared."""
+    if isinstance(k, bool):  # operator.index(True) is 1
+        raise ValueError(f"catalog index k must be an integer in 1..64, got {k!r}")
     k = operator.index(k)
     if not 1 <= k <= 64:
         raise ValueError(f"catalog index k must be 1..64, got {k}")
@@ -183,9 +185,14 @@ def decode_grid(
                     for M in marks]
 
 
-def _table_rows(enc_k: int, m: str, M: str | None, overrides: dict[int, str]) -> list[TableRow]:
-    """Table 1 rows when ``M`` is None, else table 2 rows for the forced mark."""
-    phase1, (fdists,) = decode_grid(enc_k, m, (M,), overrides)
+def _table_rows(enc_k: int, m: str, M: str | None) -> list[TableRow]:
+    """Table 1 rows when ``M`` is None, else table 2 rows for the forced mark.
+
+    Table 1 of the published configuration (enc_k=1, m="110") takes the
+    publication's intermediate marks on the rows of ``PUBLISHED_M_OVERRIDES``.
+    """
+    published = M is None and (enc_k, m) == (1, "110")
+    phase1, (fdists,) = decode_grid(enc_k, m, (M,), PUBLISHED_M_OVERRIDES if published else None)
     tops = fdists.max(axis=1).tolist()
     # round3 goes through Decimal, so it runs once per distinct probability.
     rounded = {p: round3(p) for p in {*tops, *(p1.max_prob for p1 in phase1)}}
@@ -202,25 +209,14 @@ def _table_rows(enc_k: int, m: str, M: str | None, overrides: dict[int, str]) ->
     ]
 
 
-def generate_table1(
-    enc_k: int = 1,
-    m: str = "110",
-    overrides: dict[int, str] | None = None,
-) -> list[TableRow]:
-    """Decode the encoded state with every catalog state and tabulate.
-
-    ``overrides`` forces the intermediate mark on specific rows; for the
-    published configuration (enc_k=1, m="110") it defaults to the two rows
-    where the publication deviates from the lexicographic tie-break.
-    """
-    if overrides is None:
-        overrides = PUBLISHED_M_OVERRIDES if (enc_k, m) == (1, "110") else {}
-    return _table_rows(enc_k, m, None, overrides)
+def generate_table1(enc_k: int = 1, m: str = "110") -> list[TableRow]:
+    """Decode the encoded state with every catalog state and tabulate."""
+    return _table_rows(enc_k, m, None)
 
 
 def generate_table2(enc_k: int = 1, m: str = "110", M: str = "110") -> list[TableRow]:
     """Full pipeline for every catalog state with a forced intermediate mark."""
-    return _table_rows(enc_k, m, M, {})
+    return _table_rows(enc_k, m, M)
 
 
 # Published tables, embedded verbatim for diffing.  Table 1 columns:

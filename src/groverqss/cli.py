@@ -54,7 +54,7 @@ def cmd_protocol(args) -> int:
     cfg = protocol.load_session_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    result = protocol.run_session_from_config(cfg)
+    result = protocol.run_session(**cfg)
     doc = {
         "verdict": result.verdict,
         "recovered_secret": result.recovered_secret,

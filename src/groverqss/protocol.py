@@ -214,8 +214,9 @@ def run_session(
 def load_session_config(path: str | Path) -> dict:
     """Read a session config JSON: secret, schedule, seed, measurement mode.
 
-    This is the config's one type check; its values are checked where they
-    are used (``split_secret``, ``run_session``, ``RoundConfig``).
+    The keys are ``run_session``'s parameter names, so ``run_session(**cfg)``
+    runs it.  This is the config's one type check; its values are checked
+    where they are used (``split_secret``, ``run_session``, ``RoundConfig``).
     """
     try:
         cfg = json.loads(Path(path).read_text())
@@ -250,12 +251,3 @@ def _known_keys(obj: dict, allowed: set[str], where: str):
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ValueError(f"unknown keys in {where}: {unknown}")
-
-
-def run_session_from_config(cfg: dict) -> SessionResult:
-    return run_session(
-        secret=cfg["secret"],
-        schedule=cfg.get("schedule"),
-        seed=cfg.get("seed", 0),
-        measurement_mode=cfg.get("measurement_mode", "top"),
-    )

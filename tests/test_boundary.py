@@ -18,6 +18,7 @@ from groverqss.grover import (
     encode,
     oracle_apply,
 )
+from groverqss.protocol import RoundConfig
 from groverqss.statevec import (
     LABELS,
     StateVector,
@@ -111,6 +112,15 @@ def test_public_constructors_copy_and_freeze_their_input():
     amps[0] = 0
     assert s.amps[0] == 1 and not s.amps.flags.writeable
     assert not initial_state(5).amps.flags.writeable
+
+
+@pytest.mark.parametrize("k", [True, False])
+def test_a_bool_k_is_refused_like_round_config_refuses_it(k):
+    # operator.index(True) is 1, which would hand back S_1.
+    with pytest.raises(ValueError, match=rf"^catalog index k must be an integer in 1\.\.64, got {k}$"):
+        initial_state(k)
+    with pytest.raises(ValueError, match=rf"^round 'k' must be an integer in 1\.\.64, got {k}$"):
+        RoundConfig(k=k, marked="110", round_kind="message")
 
 
 @pytest.mark.parametrize("size,n", [(16, 3), (4, 3), (8, 4), (2, 5)])

@@ -10,6 +10,7 @@ from groverqss.catalog import (
     CHEAT_DETECT_MARKS,
     MESSAGE_MARKS,
     PUBLISHED_M_OVERRIDES,
+    decode_grid,
     diff_table,
     generate_table1,
     generate_table2,
@@ -155,9 +156,14 @@ def test_table1_spot_rows():
 
 
 def test_table1_mark_overrides_needed():
-    # without the overrides the lexicographic tie-break disagrees on k=7, 8
-    diffs = diff_table(generate_table1(overrides={}), published_table1())
-    assert {d["k"] for d in diffs} == set(PUBLISHED_M_OVERRIDES)
+    # the lexicographic tie-break disagrees with the published marks on
+    # k=7, 8 only, and each published mark is in its row's phase-1 tie set
+    phase1, _ = decode_grid(1, "110")
+    published = published_table1()
+    differ = {r.k for p1, r in zip(phase1, published) if p1.chosen_M != r.chosen_M}
+    assert differ == set(PUBLISHED_M_OVERRIDES)
+    for k, M in PUBLISHED_M_OVERRIDES.items():
+        assert M in phase1[k - 1].argmax_set
 
 
 def test_table1_matching_row_near_one():

@@ -1,4 +1,9 @@
-"""The package's indented JSON writer against ``json.dumps(x, indent=2)``."""
+"""The package's indented JSON writer against ``json.dumps(x, indent=2)``.
+
+On its domain, ``str`` keys and scalars of exactly the built-in types, the
+text is ``json.dumps``'s byte for byte; outside it, a ``TypeError`` names
+the type that the package never writes.
+"""
 
 import json
 import re
@@ -15,8 +20,7 @@ scalars = (
     | st.booleans()
     | st.integers()
     | st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from([-0.0, np.float64(-0.0), np.float64("nan"), np.float64("-inf")])
-    | st.floats(allow_nan=False).map(np.float64)
+    | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
     | st.text()
     | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ∑ 😀", "\ud800"])
 )
@@ -36,8 +40,8 @@ def test_dumps_writes_the_text_of_json_dumps_indent_2(doc):
 
 
 @pytest.mark.parametrize("doc", [
-    {1: "a", 2.5: "b", True: "c", None: "d", -0.0: "e", float("nan"): "f"},
-    {np.float64(0.1): [np.float64(1e300) * 10]},
+    {"": None, '"': -0.0, "\\": float("nan"), "\x00é\ud800": [float("-inf")]},
+    {"a": {"b": [1e300 * 10, 2**70, True]}},
     [[], {}, [[]], [{}], ()],
 ])
 def test_dumps_converts_keys_and_empty_containers_like_json(doc):
@@ -54,8 +58,8 @@ def _circular():
     np.int64(1),
     {"a": {1, 2}},
     [np.bool_(True)],
-    {(1, 2): "tuple key"},
-    {np.int64(3): "numpy key"},
+    [1j],
+    {"a": np.float32(1.5)},
     [b"bytes"],
     _circular(),
 ])
@@ -63,4 +67,19 @@ def test_dumps_refuses_what_json_dumps_refuses(doc):
     with pytest.raises(Exception) as want:
         json.dumps(doc, indent=2)
     with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        dumps(doc)
+
+
+class Label(str):
+    pass
+
+
+@pytest.mark.parametrize("doc, name", [
+    (np.float64(0.5), "float64"),
+    ([Label("110")], "Label"),
+    ({1: "int key"}, "int"),
+    ({(1, 2): "tuple key"}, "tuple"),
+])
+def test_dumps_refuses_what_the_package_never_writes(doc, name):
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
         dumps(doc)

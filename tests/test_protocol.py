@@ -15,7 +15,6 @@ from groverqss.protocol import (
     load_session_config,
     run_round,
     run_session,
-    run_session_from_config,
     split_secret,
 )
 
@@ -198,6 +197,7 @@ def test_config_round_trip(tmp_path):
     cfg = {
         "secret": "110011101",
         "seed": 4,
+        "measurement_mode": "sampled",
         "schedule": [
             {"kind": "cheat_detect"},
             {"kind": "message"},
@@ -207,9 +207,12 @@ def test_config_round_trip(tmp_path):
     }
     path = tmp_path / "session.json"
     path.write_text(json.dumps(cfg))
-    loaded = load_session_config(path)
-    result = run_session_from_config(loaded)
-    assert result.recovered_secret == "110011101"
+    # The config's keys are run_session's parameter names.
+    result = run_session(**load_session_config(path))
+    assert result == run_session("110011101", cfg["schedule"], seed=4, measurement_mode="sampled")
+    top = run_session("110011101", cfg["schedule"], seed=4)
+    assert top.recovered_secret == "110011101"
+    assert result != top  # the mode reached the rounds
 
 
 def test_config_requires_secret(tmp_path):
