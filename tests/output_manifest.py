@@ -7,6 +7,8 @@ mapped to the sha256 hex digest of its exact text.  The keys are
 
 * ``table1/<enc_k>/<m>/<fmt>`` and ``table2/<enc_k>/<m>/110/<fmt>``: the
   rendered tables for every catalog state, message mark and format;
+* ``table2/<enc_k>/<m>/<M>/<fmt>``: table 2 under each of the 7 other
+  forced marks M, for the eight encoded states ``SPREAD``;
 * ``intercept/<k>/<m>``: the 64-guess intercept audit's JSON report;
 * ``entangle/<k>/<m>/<control>``: the ancilla attack's JSON report;
 * ``cli/<argv>``: exit code, stdout and stderr of 34 command lines run in
@@ -31,6 +33,10 @@ MANIFEST = Path(__file__).resolve().parent / "output_manifest.json"
 
 MESSAGE_MARKS = ("110", "011", "101")
 FORMATS = ("csv", "json", "markdown")
+#: Encoded states whose table 2 is pinned under every forced mark.
+SPREAD = range(1, 65, 8)
+#: The forced marks of table 2 besides the default 110.
+OTHER_MARKS = tuple(format(i, "03b") for i in range(8) if i != 6)
 
 #: Session configs of the ``protocol`` command lines, by placeholder name.
 CLI_CONFIGS = {
@@ -103,6 +109,10 @@ def manifest() -> dict[str, str]:
             for control in (1, 2, 3):
                 report = attacks.entangle_measure(enc_k, m, control)
                 out[f"entangle/{enc_k}/{m}/{control}"] = _sha(report.to_json())
+            for M in OTHER_MARKS if enc_k in SPREAD else ():
+                rows = catalog.generate_table2(enc_k, m, M)
+                for fmt in FORMATS:
+                    out[f"table2/{enc_k}/{m}/{M}/{fmt}"] = _sha(catalog.render_table(rows, fmt))
     out.update(_cli_outputs())
     return out
 
