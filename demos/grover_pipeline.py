@@ -25,7 +25,7 @@ def show(title, dist):
     print(title)
     for i, p in enumerate(dist):
         bar = "#" * int(round(40 * p))
-        print(f"  |{index_to_label(i, 3)}>  {p:.4f}  {bar}")
+        print(f"  |{index_to_label(i)}>  {p:.4f}  {bar}")
 
 
 def main():

@@ -48,7 +48,8 @@ class Claim:
 @dataclass
 class AttackReport:
     attack_kind: str
-    intermediate_states: list[tuple[str, StateVector]] = field(default_factory=list)
+    #: Labelled amplitude arrays: 8 entries, or 16 with the entangle ancilla.
+    intermediate_states: list[tuple[str, np.ndarray]] = field(default_factory=list)
     outcome_dist: np.ndarray | None = None
     attacker_success_prob: float | None = None
     dealer_detection_prob: float | None = None
@@ -57,13 +58,13 @@ class AttackReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        def amps(s: StateVector):
-            return [[_sig12(a.real), _sig12(a.imag)] for a in s.amps]
+        def amps(a: np.ndarray):
+            return [[_sig12(x.real), _sig12(x.imag)] for x in a]
 
         doc = {
             "attack_kind": self.attack_kind,
             "intermediate_states": [
-                {"label": name, "amplitudes": amps(s)} for name, s in self.intermediate_states
+                {"label": name, "amplitudes": amps(a)} for name, a in self.intermediate_states
             ],
             "outcome_dist": None
             if self.outcome_dist is None
@@ -131,10 +132,10 @@ def intercept_wrong_op(
     M = M_guess if M_guess is not None else p1.chosen_M
     final, fdist = decode_phase2(p1.state, M, guess)
     p_m = float(fdist[label_to_index(m)])
-    tied = argmax_labels(fdist, 3)
+    tied = argmax_labels(fdist)
     return AttackReport(
         attack_kind="intercept",
-        intermediate_states=[("after_first_diffusion", p1.state), ("final", final)],
+        intermediate_states=[("after_first_diffusion", p1.state.amps), ("final", final.amps)],
         outcome_dist=fdist,
         attacker_success_prob=p_m,
         notes=[
@@ -169,7 +170,7 @@ def intercept_enumeration(k_true: int = 1, m: str = "110") -> AttackReport:
     phase1, (fdists, forced) = decode_grid(k_true, m, (None, m))
     max_cheat_label_prob = float(forced[:, _CHEAT_DETECT_INDICES].max())
     tops = fdists.max(axis=1).tolist()
-    for k, p1, tied, top_p in zip(range(1, 65), phase1, argmax_labels(fdists, 3), tops):
+    for k, p1, tied, top_p in zip(range(1, 65), phase1, argmax_labels(fdists), tops):
         s_strict = tied == [m] and top_p > 0.5
         s_incl = m in tied
         strict += s_strict
@@ -271,7 +272,7 @@ def intercept_resend_analysis() -> AttackReport:
     * dealer sent a cheat-detect round: detected iff m' differs from the
       dealer's mark.
     """
-    marks = LABELS[3]
+    marks = LABELS
     msg_detect = Fraction(
         sum(1 for mp in marks if mp in CHEAT_DETECT_MARKS), len(marks)
     )
@@ -302,14 +303,10 @@ def intercept_resend_analysis() -> AttackReport:
     )
 
 
-def _with_ancilla(branches: list[StateVector]) -> StateVector:
-    """4-qubit state whose ancilla (qubit 4) value b carries ``branches[b]``."""
-    return StateVector(4, np.stack([b.amps for b in branches], axis=1).reshape(16))
-
-
-def marginal_over_ancilla(s: StateVector) -> np.ndarray:
-    """Outcome distribution of the 3 protocol qubits, ancilla traced out."""
-    return distribution(s).reshape(8, 2).sum(axis=1)
+def _with_ancilla(branches: list[StateVector]) -> np.ndarray:
+    """The 16 amplitudes of the state whose ancilla (qubit 4) value b
+    carries ``branches[b]``."""
+    return np.stack([b.amps for b in branches], axis=1).ravel()
 
 
 def entangle_measure(k: int = 1, m: str = "110", control_qubit: int = 1) -> AttackReport:
@@ -328,14 +325,16 @@ def entangle_measure(k: int = 1, m: str = "110", control_qubit: int = 1) -> Atta
     # After the CNOT, ancilla value b sits on exactly the amplitudes whose
     # control bit is b, and U x I acts on each such branch as the 3-qubit U.
     control = (np.arange(8) >> (3 - control_qubit)) & 1
-    branches = [StateVector(3, np.where(control == b, encoded.amps, 0)) for b in (0, 1)]
+    branches = [StateVector(np.where(control == b, encoded.amps, 0)) for b in (0, 1)]
     entangled = _with_ancilla(branches)
     sk = initial_state(k)
     branches = [diffusion_apply(s, sk) for s in branches]
     after_diffusion = _with_ancilla(branches)
-    M = argmax_labels(marginal_over_ancilla(after_diffusion), 3)[0]
-    after_oracle = _with_ancilla([oracle_apply(s, M) for s in branches])
-    final_marginal = marginal_over_ancilla(after_oracle)
+    # Tracing out the ancilla sums the two branches' distributions.
+    M = argmax_labels(distribution(branches[0]) + distribution(branches[1]))[0]
+    branches = [oracle_apply(s, M) for s in branches]
+    after_oracle = _with_ancilla(branches)
+    final_marginal = distribution(branches[0]) + distribution(branches[1])
     detect = float(sum(final_marginal[i] for i in _CHEAT_DETECT_INDICES))
     claims = [Claim.compare("cheat_detect_probability", detect, 5 / 32)]
     return AttackReport(

@@ -136,7 +136,7 @@ def initial_state(k: int) -> StateVector:
     if k not in _STATES:
         # Dividing by sqrt(2) ** 3, not sqrt(8), keeps each amplitude equal
         # to the product of three normalised eigenvector entries.
-        _STATES[k] = StateVector(3, phase_table()[k - 1] / np.sqrt(2.0) ** 3)
+        _STATES[k] = StateVector(phase_table()[k - 1] / np.sqrt(2.0) ** 3)
     return _STATES[k]
 
 
@@ -205,7 +205,7 @@ def _table_rows(enc_k: int, m: str, M: str | None) -> list[TableRow]:
             final_outcomes=frozenset(tied),
             final_prob=rounded[top],
         )
-        for k, p1, tied, top in zip(range(1, 65), phase1, argmax_labels(fdists, 3), tops)
+        for k, p1, tied, top in zip(range(1, 65), phase1, argmax_labels(fdists), tops)
     ]
 
 

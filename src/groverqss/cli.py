@@ -94,7 +94,7 @@ def cmd_sample(args) -> int:
                 "count": counts.counts.get(lab, 0),
                 "empirical_p": counts.counts.get(lab, 0) / args.shots,
             }
-            for lab, p in zip(LABELS[3], dist)
+            for lab, p in zip(LABELS, dist)
         ],
     }
     if args.format == "json":

@@ -49,30 +49,21 @@ def iteration_count(num_qubits: int) -> int:
     return math.floor(math.pi / 4 * math.sqrt(2**num_qubits) + 0.5)
 
 
-def _mark_index(m: str, num_qubits: int) -> int:
-    """Basis index of the marked label ``m`` of a ``num_qubits``-qubit state."""
-    if len(m) != num_qubits:
-        raise ValueError(f"marked label {m!r} does not address {num_qubits} qubits")
-    return label_to_index(m)
-
-
 def _flipped(s: StateVector, m: str) -> np.ndarray:
     """A copy of the amplitudes of ``s`` with the sign at label ``m`` flipped."""
     amps = s.amps.copy()
-    amps[_mark_index(m, s.num_qubits)] *= -1
+    amps[label_to_index(m)] *= -1
     return amps
 
 
 def oracle_apply(s: StateVector, m: str) -> StateVector:
     """Apply U_m: negate the amplitude at the marked label, leave the rest."""
-    return StateVector._wrap(s.num_qubits, _flipped(s, m))
+    return StateVector._wrap(_flipped(s, m))
 
 
 def _reflect(amps: np.ndarray, about: np.ndarray) -> np.ndarray:
     """U_S = 2|S><S| - I on the last axis: 2<S|s>|S> - |s> for one row
     ``amps`` and its axis ``about``, or row by row for two equal stacks."""
-    if amps.shape != about.shape:
-        raise ValueError("state and diffusion axis have different qubit counts")
     if amps.ndim == 1:
         out = 2 * complex(np.vdot(about, amps)) * about - amps
         finite = all(map(cmath.isfinite, out.tolist()))
@@ -92,7 +83,7 @@ def _reflect(amps: np.ndarray, about: np.ndarray) -> np.ndarray:
 
 def diffusion_apply(s: StateVector, about: StateVector) -> StateVector:
     """Apply U_S = 2|S><S| - I, i.e. return 2<S|s>|S> - |s>."""
-    return StateVector._wrap(s.num_qubits, _reflect(s.amps, about.amps))
+    return StateVector._wrap(_reflect(s.amps, about.amps))
 
 
 def encode(initial: StateVector, m: str) -> StateVector:
@@ -100,22 +91,21 @@ def encode(initial: StateVector, m: str) -> StateVector:
     return oracle_apply(initial, m)
 
 
-def argmax_labels(dist: np.ndarray, num_qubits: int) -> list:
+def argmax_labels(dist: np.ndarray) -> list:
     """All outcome labels tied at the maximum probability, sorted; for an
-    (n, 2**num_qubits) stack of distributions, one such list per row."""
-    labels = LABELS.get(num_qubits, ())
-    if dist.shape[-1] != len(labels):
-        raise ValueError(f"{dist.shape[-1]} probabilities do not address {num_qubits} qubits")
+    (n, 8) stack of distributions, one such list per row."""
+    if dist.shape[-1] != 8:
+        raise ValueError(f"{dist.shape[-1]} probabilities do not address 3 qubits")
     if dist.ndim == 1:
         probs = dist.tolist()
-        return _tied(probs, labels, max(probs))
-    return [_tied(probs, labels, max(probs)) for probs in dist.tolist()]
+        return _tied(probs, max(probs))
+    return [_tied(probs, max(probs)) for probs in dist.tolist()]
 
 
-def _tied(probs: list[float], labels: tuple[str, ...], top: float) -> list[str]:
+def _tied(probs: list[float], top: float) -> list[str]:
     """The labels whose probability is within ARGMAX_TOL of the maximum ``top``."""
     floor = top - ARGMAX_TOL
-    return [label for label, p in zip(labels, probs) if p >= floor]
+    return [label for label, p in zip(LABELS, probs) if p >= floor]
 
 
 class DecodePhase1Result(NamedTuple):
@@ -140,7 +130,7 @@ def decode_phase1(
     dist = distribution(st)
     probs = dist.tolist()
     max_prob = max(probs)
-    tied = _tied(probs, LABELS[st.num_qubits], max_prob)
+    tied = _tied(probs, max_prob)
     if choose is not None and choose not in tied:
         raise ValueError(f"forced mark {choose!r} is not in the argmax set {tied}")
     chosen = tied[0] if choose is None else choose
@@ -151,21 +141,20 @@ def decode_phase2(
     st: StateVector, M: str, initial: StateVector
 ) -> tuple[StateVector, np.ndarray]:
     """Second decode phase: oracle for the observed mark M, then diffuse again."""
-    final = StateVector._wrap(st.num_qubits, _reflect(_flipped(st, M), initial.amps))
+    final = StateVector._wrap(_reflect(_flipped(st, M), initial.amps))
     return final, distribution(final)
 
 
 def decode_phase2_rows(states: np.ndarray, marks: list[str], about: np.ndarray) -> np.ndarray:
-    """Second decode phase on an (n, dim) stack of phase-1 amplitude rows.
+    """Second decode phase on an (n, 8) stack of phase-1 amplitude rows.
 
     Row i gets the oracle for ``marks[i]``, then the diffusion about row i
-    of ``about``.  Returns the (n, dim) matrix of final probabilities; each
+    of ``about``.  Returns the (n, 8) matrix of final probabilities; each
     row equals ``decode_phase2``'s distribution bit for bit, without a
     StateVector per row.
     """
-    num_qubits = states.shape[1].bit_length() - 1
     flipped = states.copy()
-    flipped[np.arange(len(flipped)), [_mark_index(M, num_qubits) for M in marks]] *= -1
+    flipped[np.arange(len(flipped)), [label_to_index(M) for M in marks]] *= -1
     return np.abs(_reflect(flipped, about)) ** 2
 
 
@@ -206,19 +195,20 @@ def decode_relative(r: Sequence[complex], m: str) -> ExactDecode:
     ⊙ V_enc for the catalog rows V and e_m is all ones with the sign at m
     flipped.  M is the smallest label of the phase-1 tie set.
     """
-    labels = LABELS[3]
-    n1 = _exact_step(list(r), _mark_index(m, 3))
+    if len(r) != 8:
+        raise ValueError(f"relative phase row has {len(r)} entries, not 8")
+    n1 = _exact_step(list(r), label_to_index(m))
     p1 = _exact_probs(n1, 128)
-    tied = _tied(p1, labels, max(p1))
+    tied = _tied(p1, max(p1))
     n2 = _exact_step(n1, label_to_index(tied[0]))
     p2 = _exact_probs(n2, 2048)
-    return ExactDecode(p1, tied, tied[0], n2, p2, _tied(p2, labels, max(p2)))
+    return ExactDecode(p1, tied, tied[0], n2, p2, _tied(p2, max(p2)))
 
 
 def exact_final_state(decoding: StateVector, n2: Sequence[complex]) -> StateVector:
     """The final state of ``decode_relative`` decoding with the catalog
     state S_k: D_k applied to n2 / (16√8), i.e. S_k ⊙ n2 / 16."""
-    return StateVector._wrap(3, decoding.amps * np.array(n2) / 16)
+    return StateVector._wrap(decoding.amps * np.array(n2) / 16)
 
 
 def collective_op(
@@ -252,8 +242,8 @@ def sample(s: StateVector, shots: int, seed: int) -> ShotCounts:
     searched with ``np.searchsorted(cdf, u, side="right")``.  That search
     gives index i iff cdf[i-1] <= u < cdf[i], so #(index >= i) is
     #(u >= cdf[i-1]), and each count is a difference of two such tallies.
-    The index never exceeds dim - 1 (the search's last entry is set to
-    exactly 1 and u < 1), so only the first dim - 1 entries are thresholds.
+    The index never exceeds 7 (the search's last entry is set to exactly 1
+    and u < 1), so only the first 7 entries are thresholds.
     Counts hold only the outcomes drawn, in ascending order.  One shot
     (a protocol round's measurement) skips the buffer: the same double,
     compared with the same thresholds by ``bisect_right``.
@@ -264,7 +254,7 @@ def sample(s: StateVector, shots: int, seed: int) -> ShotCounts:
         # accumulate adds in np.cumsum's order, so these are the same doubles.
         thresholds = list(accumulate(distribution(s).tolist()))[:-1]
         index = bisect_right(thresholds, np.random.default_rng(seed).random())
-        return ShotCounts(counts={index_to_label(index, s.num_qubits): 1}, shots=1, seed=seed)
+        return ShotCounts(counts={index_to_label(index): 1}, shots=1, seed=seed)
     cdf = np.cumsum(distribution(s))[:-1]
     # np.empty rejects a float or bool count with the TypeError rng.random gives.
     buf = np.empty(min(shots, SAMPLE_CHUNK))
@@ -275,6 +265,6 @@ def sample(s: StateVector, shots: int, seed: int) -> ShotCounts:
         for j, threshold in enumerate(cdf):
             tallies[j] += np.count_nonzero(u >= threshold)
     at_least = [shots, *map(int, tallies), 0]  # at_least[i] = #(index >= i)
-    counts = {index_to_label(i, s.num_qubits): at_least[i] - at_least[i + 1]
+    counts = {index_to_label(i): at_least[i] - at_least[i + 1]
               for i in range(cdf.size + 1) if at_least[i] > at_least[i + 1]}
     return ShotCounts(counts=counts, shots=shots, seed=seed)

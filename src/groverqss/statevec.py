@@ -1,5 +1,4 @@
-"""Exact complex-amplitude state vectors: 3 protocol qubits, or 4 with the
-attack ancilla.
+"""Exact complex-amplitude state vectors of the 3 protocol qubits.
 
 Bit ordering is big-endian throughout: the leftmost symbol of a ket label
 is the most significant bit of the basis index, so ``"110"`` is index 6.
@@ -16,10 +15,10 @@ import numpy as np
 #: Relative phase of each eigenstate symbol: |s> = (|0> + PHASES[s]|1>)/sqrt 2.
 PHASES = {"+": 1, "-": -1, "+i": 1j, "-i": -1j}
 
-#: Every ket label of 3 and of 4 qubits, by qubit count, in index order.
-LABELS = {n: tuple(format(i, f"0{n}b") for i in range(2**n)) for n in (3, 4)}
+#: Every ket label, in index order.
+LABELS = tuple(format(i, "03b") for i in range(8))
 
-_INDEX = {label: i for labels in LABELS.values() for i, label in enumerate(labels)}
+_INDEX = {label: i for i, label in enumerate(LABELS)}
 
 
 def label_to_index(label: str) -> int:
@@ -28,32 +27,26 @@ def label_to_index(label: str) -> int:
         return _INDEX[label]
     except (KeyError, TypeError):
         if isinstance(label, str) and label and not label.strip("01"):
-            raise ValueError(f"label {label!r} is not 3 or 4 qubits") from None
+            raise ValueError(f"label {label!r} is not 3 bits") from None
         raise ValueError(f"not a bit string: {label!r}") from None
 
 
-def index_to_label(index: int, num_qubits: int) -> str:
-    labels = LABELS.get(num_qubits, ())
-    if not 0 <= index < len(labels):
-        raise ValueError(f"index {index} out of range for {num_qubits} qubits")
-    return labels[index]
+def index_to_label(index: int) -> str:
+    if not 0 <= index < 8:
+        raise ValueError(f"index {index} out of range for 3 qubits")
+    return LABELS[index]
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitudes over the computational basis of ``num_qubits`` qubits."""
+    """Complex amplitudes over the 8 computational basis states."""
 
-    num_qubits: int
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.num_qubits not in LABELS:
-            raise ValueError(f"num_qubits must be 3 or 4, got {self.num_qubits}")
         amps = np.asarray(self.amps, dtype=np.complex128)
-        if amps.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
-            )
+        if amps.shape != (8,):
+            raise ValueError(f"expected 8 amplitudes, got shape {amps.shape}")
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         amps = amps.copy()
@@ -61,16 +54,15 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @classmethod
-    def _wrap(cls, num_qubits: int, amps: np.ndarray) -> "StateVector":
+    def _wrap(cls, amps: np.ndarray) -> "StateVector":
         """A state around ``amps`` without the checks and copy above.
 
-        Only for a fresh complex128 array of 2**num_qubits finite entries
-        that an operator has just computed from checked states; it is made
+        Only for a fresh complex128 array of 8 finite entries that an
+        operator has just computed from checked states; it is made
         read-only here and must not be shared.
         """
         amps.setflags(write=False)
         s = object.__new__(cls)
-        object.__setattr__(s, "num_qubits", num_qubits)
         object.__setattr__(s, "amps", amps)
         return s
 

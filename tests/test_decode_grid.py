@@ -72,7 +72,7 @@ def per_row_table(rows, M=None):
             phase1_outcomes=p1.argmax_set if M is None else None,
             phase1_prob=round3(p1.max_prob) if M is None else None,
             chosen_M=p1.chosen_M if M is None else M,
-            final_outcomes=frozenset(argmax_labels(fdist, 3)),
+            final_outcomes=frozenset(argmax_labels(fdist)),
             final_prob=round3(float(fdist.max())),
         )
         for k, p1, fdist in rows
@@ -85,7 +85,7 @@ def per_row_intercept_details(k_true, m):
     strict = inclusive = correct_M = 0
     max_cheat = 0.0
     for k, p1, fdist in per_row_grid(k_true, m):
-        tied = argmax_labels(fdist, 3)
+        tied = argmax_labels(fdist)
         top_p = float(fdist.max())
         s_strict = tied == [m] and top_p > 0.5
         s_incl = m in tied
@@ -133,7 +133,7 @@ def test_batched_phase2_equals_the_per_row_reference(enc_k):
                 assert [f[k - 1].tobytes() for f in finals] == [want[M] for M in marks]
         # The honest decoder recovers m as the unique most likely outcome.
         auto = grids_m[0][0][1][0]
-        assert argmax_labels(auto[enc_k - 1], 3) == [m]
+        assert argmax_labels(auto[enc_k - 1]) == [m]
 
 
 @pytest.mark.parametrize("enc_k", range(1, 65))
@@ -141,7 +141,7 @@ def test_argmax_labels_of_each_grid_matrix_is_the_per_row_cut(enc_k):
     for m in MARKS:
         for (_, finals), _ in grids(enc_k, m):
             for f in finals:
-                assert argmax_labels(f, 3) == [argmax_labels(row, 3) for row in f]
+                assert argmax_labels(f) == [argmax_labels(row) for row in f]
 
 
 @pytest.mark.parametrize("enc_k", SPREAD)
@@ -177,7 +177,7 @@ def test_exact_kernel_equals_the_decode_grid(enc_k):
         for p1, r, fdist in zip(phase1, rows, auto):
             d = decode_relative(r, m)
             assert (d.argmax_set, d.chosen_M) == (sorted(p1.argmax_set), p1.chosen_M)
-            assert d.final_set == argmax_labels(fdist, 3)
+            assert d.final_set == argmax_labels(fdist)
             assert within_16_ulps(p1.dist.tolist(), d.phase1_dist)
             assert within_16_ulps(fdist.tolist(), d.final_dist)
             # Unitarity: the integer numerators sum to 128 and 2048.
@@ -201,11 +201,11 @@ def test_exact_kernel_ignores_a_global_phase():
 def test_argmax_labels_of_a_stack_is_the_list_of_each_row():
     rng = np.random.default_rng(5)
     dists = rng.integers(0, 3, size=(40, 8)) / 8.0
-    assert argmax_labels(dists, 3) == [argmax_labels(row, 3) for row in dists]
+    assert argmax_labels(dists) == [argmax_labels(row) for row in dists]
 
 
 def test_decode_grid_refuses_a_forced_mark_of_the_wrong_length():
-    with pytest.raises(ValueError, match="marked label '0000' does not address 3 qubits"):
+    with pytest.raises(ValueError, match="label '0000' is not 3 bits"):
         decode_grid(1, "110", ("0000",))
 
 

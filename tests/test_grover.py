@@ -57,13 +57,13 @@ def test_oracle_involution():
 
 
 def test_oracle_orthogonal_noop():
-    s = StateVector(3, np.eye(8)[0])
+    s = StateVector(np.eye(8)[0])
     assert np.array_equal(oracle_apply(s, "111").amps, s.amps)
 
 
 def test_oracle_label_mismatch():
-    with pytest.raises(ValueError):
-        oracle_apply(StateVector(4, np.eye(16)[0]), "110")
+    with pytest.raises(ValueError, match="^label '0110' is not 3 bits$"):
+        oracle_apply(initial_state(1), "0110")
 
 
 def test_diffusion_first_iteration_amplitudes():
@@ -94,17 +94,8 @@ def test_diffusion_matches_dense_matrix():
     u = diffusion_matrix(about)
     for _ in range(10):
         a = rng.normal(size=8) + 1j * rng.normal(size=8)
-        s = StateVector(3, a / np.linalg.norm(a))
+        s = StateVector(a / np.linalg.norm(a))
         assert diffusion_apply(s, about).amps == pytest.approx(u @ s.amps, abs=1e-12)
-
-
-def test_reflection_refuses_axes_of_another_qubit_count():
-    s1 = initial_state(1)
-    four = StateVector(4, np.eye(16)[0])
-    for reflect in (lambda: diffusion_apply(four, s1),
-                    lambda: decode_phase2(four, "0001", s1)):
-        with pytest.raises(ValueError, match="different qubit counts"):
-            reflect()
 
 
 def test_encode_s1():
@@ -199,7 +190,7 @@ def test_sample_deterministic():
 
 
 def test_sample_basis_state():
-    counts = sample(StateVector(3, np.eye(8)[6]), 100, seed=0)
+    counts = sample(StateVector(np.eye(8)[6]), 100, seed=0)
     assert counts.counts == {"110": 100}
 
 
@@ -212,7 +203,7 @@ def test_sample_empirical_close():
 
 def test_sample_zero_shots():
     with pytest.raises(ValueError):
-        sample(StateVector(3, np.eye(8)[0]), 0, seed=1)
+        sample(StateVector(np.eye(8)[0]), 0, seed=1)
 
 
 def test_sample_over_max_shots_raises_before_drawing(monkeypatch):
@@ -221,13 +212,13 @@ def test_sample_over_max_shots_raises_before_drawing(monkeypatch):
 
     monkeypatch.setattr(grover.np.random, "default_rng", no_draws)
     with pytest.raises(ValueError, match=f"shots must be 1..{MAX_SHOTS}, got {MAX_SHOTS + 1}$"):
-        sample(StateVector(3, np.eye(8)[0]), MAX_SHOTS + 1, seed=1)
+        sample(StateVector(np.eye(8)[0]), MAX_SHOTS + 1, seed=1)
 
 
 @pytest.mark.parametrize("shots", [10.0, True, "5"])
 def test_sample_non_integer_shots_is_a_type_error(shots):
     with pytest.raises(TypeError):
-        sample(StateVector(3, np.eye(8)[0]), shots, seed=1)
+        sample(StateVector(np.eye(8)[0]), shots, seed=1)
 
 
 def searchsorted_sample(s, shots, seed):
@@ -236,7 +227,7 @@ def searchsorted_sample(s, shots, seed):
     cdf[-1] = 1.0
     draws = np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right")
     return {
-        index_to_label(int(idx), s.num_qubits): int(n)
+        index_to_label(int(idx)): int(n)
         for idx, n in zip(*np.unique(draws, return_counts=True))
     }
 
@@ -286,7 +277,7 @@ def test_one_shot_sample_is_the_searchsorted_draw(final_states):
         s = final_states[seed * 5 % len(final_states)]
         u = np.random.default_rng(seed).random()
         index = int(np.searchsorted(np.cumsum(distribution(s)), u, side="right"))
-        assert sample(s, 1, seed).counts == {index_to_label(index, 3): 1}
+        assert sample(s, 1, seed).counts == {index_to_label(index): 1}
 
 
 def test_one_shot_sample_builds_one_generator_and_draws_once(monkeypatch):
@@ -304,12 +295,14 @@ def test_one_shot_sample_builds_one_generator_and_draws_once(monkeypatch):
 
 
 @pytest.mark.parametrize("shots", CHUNK_EDGE_SHOTS)
-def test_sample_matches_searchsorted_on_1_to_4_qubits(shots):
-    # The 1- and 2-qubit states sit on the last qubits of a 3- and a 4-qubit
-    # register, the others idle in |0>, so most outcomes have probability 0.
+def test_sample_matches_searchsorted_on_1_to_3_qubits(shots):
+    # The 1- and 2-qubit states sit on the last qubits of the register, the
+    # others idle in |0>, so most outcomes have probability 0.  The entangle
+    # attack's ancilla-0 branch after the oracle is 0 on half the outcomes.
     after_oracle = dict(entangle_measure().intermediate_states)["after_mark_oracle"]
-    for s in [StateVector(3, np.eye(8)[5]), StateVector(3, [0.6, 0.8j] + [0] * 6),
-              StateVector(4, [0.5, -0.5, 0.5j, 0.5] + [0] * 12), after_oracle]:
+    for s in [StateVector(np.eye(8)[5]), StateVector([0.6, 0.8j] + [0] * 6),
+              StateVector([0.5, -0.5, 0.5j, 0.5] + [0] * 4),
+              StateVector(np.sqrt(2) * after_oracle[0::2])]:
         assert_same_counts(s, shots, seed=shots)
 
 

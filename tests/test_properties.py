@@ -18,9 +18,9 @@ from groverqss.grover import (
 from groverqss.statevec import StateVector, distribution, index_to_label
 
 
-def random_state(rng, n=3):
-    a = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return StateVector(n, a / np.linalg.norm(a))
+def random_state(rng):
+    a = rng.normal(size=8) + 1j * rng.normal(size=8)
+    return StateVector(a / np.linalg.norm(a))
 
 
 labels3 = st.integers(min_value=0, max_value=7).map(lambda i: format(i, "03b"))
@@ -53,7 +53,7 @@ def test_diffusion_linear(k, seed):
     a, b = random_state(rng), random_state(rng)
     alpha = complex(rng.normal(), rng.normal())
     about = initial_state(k)
-    combo = StateVector(3, alpha * a.amps + b.amps)
+    combo = StateVector(alpha * a.amps + b.amps)
     # linearity checked on the raw (unnormalized) combination
     lhs = 2 * np.vdot(about.amps, combo.amps) * about.amps - combo.amps
     rhs = alpha * diffusion_apply(a, about).amps + diffusion_apply(b, about).amps
@@ -68,7 +68,7 @@ def test_diffusion_linear(k, seed):
 @settings(max_examples=60, deadline=None)
 def test_argmax_global_phase_invariant(k, m, phase):
     encoded = encode(initial_state(k), m)
-    rotated = StateVector(3, np.exp(1j * phase) * encoded.amps)
+    rotated = StateVector(np.exp(1j * phase) * encoded.amps)
     base = decode_phase1(encoded, initial_state(k))
     rot = decode_phase1(rotated, initial_state(k))
     assert base.argmax_set == rot.argmax_set
@@ -82,7 +82,7 @@ def test_matching_pipeline_exhaustive_message_marks():
         sk = initial_state(k)
         for m in sorted(MESSAGE_MARKS):
             _, _, dist = collective_op(encode(sk, m), sk)
-            assert argmax_labels(dist, 3) == [m]
+            assert argmax_labels(dist) == [m]
             assert float(dist.max()) == pytest.approx(121 / 128, abs=1e-12)
 
 
@@ -95,31 +95,28 @@ def test_distribution_normalized_across_pipeline():
         assert distribution(st1).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def reference_argmax_labels(dist, num_qubits):
+def reference_argmax_labels(dist):
     """The validating per-element loop that ``argmax_labels`` replaced."""
     floor = float(dist.max()) - ARGMAX_TOL
-    return [index_to_label(i, num_qubits) for i in range(len(dist)) if dist[i] >= floor]
+    return [index_to_label(i) for i in range(len(dist)) if dist[i] >= floor]
 
 
 @st.composite
 def near_tie_distributions(draw):
-    """8- or 16-entry distributions whose entries sit at, just inside or just
+    """8-entry distributions whose entries sit at, just inside or just
     outside ARGMAX_TOL below a common top."""
-    num_qubits = draw(st.sampled_from([3, 4]))
-    size = 2**num_qubits
     top = draw(st.floats(min_value=0.01, max_value=1))
     gaps = st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]).map(lambda g: g * ARGMAX_TOL)
     entries = st.one_of(st.floats(min_value=0, max_value=1), gaps.map(lambda gap: top - gap))
-    dist = np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+    dist = np.array(draw(st.lists(entries, min_size=8, max_size=8)))
     floor = float(dist.max()) - ARGMAX_TOL
     # Entries one ulp either side of the cut.
-    for i in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+    for i in draw(st.lists(st.integers(0, 7), max_size=3)):
         dist[i] = np.nextafter(floor, draw(st.sampled_from([-np.inf, np.inf])))
-    return dist, num_qubits
+    return dist
 
 
 @given(near_tie_distributions())
 @settings(max_examples=300, deadline=None)
-def test_argmax_labels_matches_the_reference_loop(case):
-    dist, num_qubits = case
-    assert argmax_labels(dist, num_qubits) == reference_argmax_labels(dist, num_qubits)
+def test_argmax_labels_matches_the_reference_loop(dist):
+    assert argmax_labels(dist) == reference_argmax_labels(dist)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -220,3 +221,33 @@ def test_config_requires_secret(tmp_path):
     path.write_text("{}")
     with pytest.raises(ValueError, match="secret"):
         load_session_config(path)
+
+
+def binomial_two_sided_p(n, r, num, den):
+    """Exact two-sided p-value of r successes in n trials at p = num/den:
+    the total probability of every count no more likely than r."""
+    # term[i] = C(n, i) num^i (den - num)^(n - i); each step divides exactly.
+    terms = [(den - num) ** n]
+    for i in range(n):
+        terms.append(terms[-1] * (n - i) * num // ((i + 1) * (den - num)))
+    return Fraction(sum(t for t in terms if t <= terms[r]), den**n)
+
+
+def test_binomial_two_sided_p_of_a_small_case():
+    # n = 4, p = 1/2: counts 0 and 4 have probability 1/16 each, 1 and 3 1/4.
+    assert binomial_two_sided_p(4, 0, 1, 2) == Fraction(2, 16)
+    assert binomial_two_sided_p(4, 1, 1, 2) == Fraction(10, 16)
+    assert binomial_two_sided_p(4, 2, 1, 2) == 1
+
+
+def test_honest_sampled_rounds_reject_at_the_rate_7_in_128():
+    # An honest round decodes m with probability 1936/2048 = 121/128, so a
+    # sampled round rejects with probability 7/128.
+    n = 4096
+    rejects = 0
+    for i in range(n):
+        kind, m = ROUNDS[i % len(ROUNDS)]
+        cfg = RoundConfig(k=i % 64 + 1, marked=m, round_kind=kind, seed=i,
+                          measurement_mode="sampled")
+        rejects += run_round(cfg).verdict.data["verdict"] == "reject"
+    assert binomial_two_sided_p(n, rejects, 7, 128) >= Fraction(1, 10**6), rejects

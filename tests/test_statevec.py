@@ -20,14 +20,13 @@ def test_distribution_sums_to_one():
     rng = np.random.default_rng(5)
     for _ in range(20):
         a = rng.normal(size=8) + 1j * rng.normal(size=8)
-        s = StateVector(3, a / np.linalg.norm(a))
+        s = StateVector(a / np.linalg.norm(a))
         assert distribution(s).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_label_index_round_trip():
-    for n in (3, 4):
-        for lab in LABELS[n]:
-            assert index_to_label(label_to_index(lab), n) == lab
+    for lab in LABELS:
+        assert index_to_label(label_to_index(lab)) == lab
     assert label_to_index("110") == 6
 
 
@@ -37,15 +36,15 @@ def test_label_validation():
     with pytest.raises(ValueError):
         label_to_index("10101")
     with pytest.raises(ValueError):
-        index_to_label(8, 3)
+        index_to_label(8)
 
 
 def test_non_finite_rejected():
     with pytest.raises(ValueError, match="finite"):
-        StateVector(3, np.array([np.nan] + [0] * 7))
+        StateVector(np.array([np.nan] + [0] * 7))
 
 
 def test_amps_immutable():
-    s = StateVector(3, np.eye(8)[0])
+    s = StateVector(np.eye(8)[0])
     with pytest.raises(ValueError):
         s.amps[0] = 5
