@@ -59,7 +59,7 @@ class AttackReport:
 
     def to_json(self) -> str:
         def amps(a: np.ndarray):
-            return [[_sig12(x.real), _sig12(x.imag)] for x in a]
+            return [[_sig12(x.real), _sig12(x.imag)] for x in a.tolist()]
 
         doc = {
             "attack_kind": self.attack_kind,
@@ -68,7 +68,7 @@ class AttackReport:
             ],
             "outcome_dist": None
             if self.outcome_dist is None
-            else [_sig12(p) for p in self.outcome_dist],
+            else [_sig12(p) for p in self.outcome_dist.tolist()],
             "attacker_success_prob": self.attacker_success_prob,
             "dealer_detection_prob": self.dealer_detection_prob,
             "claims": [

@@ -16,8 +16,8 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from . import _jsontext
-from .grover import DecodePhase1Result, argmax_labels, decode_phase1, decode_phase2_rows, encode
-from .statevec import PHASES, StateVector
+from .grover import DecodePhase1Result, argmax_labels, decode_phase1, encode, exact_step_rows
+from .statevec import PHASES, StateVector, label_to_index
 
 # One line per k: "k axis1 axis2 axis3".  k=1 is (+,+,+), k=64 is (-i,-,-i).
 _CATALOG_TEXT = """\
@@ -171,18 +171,21 @@ def decode_grid(
     matrix of final distributions per entry of ``marks``: phase 2 forces
     that mark on every row, or uses each row's phase-1 choice where the
     entry is None.  ``overrides`` forces the phase-1 choice on specific rows.
+    Phase 2 runs exactly on the relative phases conj(V_k) ⊙ V_enc_k of the
+    catalog rows, so the final probabilities are exact multiples of 1/2048.
     """
     overrides = overrides or {}
     encoded = encode(initial_state(enc_k), m)
-    phase1, about = [], []
-    for k in range(1, 65):
-        sk = initial_state(k)
-        phase1.append(decode_phase1(encoded, sk, choose=overrides.get(k)))
-        about.append(sk.amps)
-    states, about = np.array([p1.state.amps for p1 in phase1]), np.array(about)
-    chosen = [p1.chosen_M for p1 in phase1]
-    return phase1, [decode_phase2_rows(states, chosen if M is None else [M] * 64, about)
-                    for M in marks]
+    phase1 = [decode_phase1(encoded, initial_state(k), choose=overrides.get(k))
+              for k in range(1, 65)]
+    table = phase_table()
+    n1 = exact_step_rows(table.conj() * table[enc_k - 1], [label_to_index(m)] * 64)
+    chosen = [label_to_index(p1.chosen_M) for p1 in phase1]
+    finals = []
+    for M in marks:
+        n2 = exact_step_rows(n1, chosen if M is None else [label_to_index(M)] * 64)
+        finals.append((n2.real * n2.real + n2.imag * n2.imag) / 2048)
+    return phase1, finals
 
 
 def _table_rows(enc_k: int, m: str, M: str | None) -> list[TableRow]:

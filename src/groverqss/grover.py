@@ -4,11 +4,11 @@ The oracle ``U_m = I - 2|m><m|`` flips the sign of the marked amplitude;
 the diffusion ``U_S = 2|S><S| - I`` reflects about the initial product
 state.  Decoding runs one diffusion, reads off the highest-probability
 outcome M, then runs the oracle for M followed by a second diffusion.
-``decode_phase2_rows`` runs that second phase on a stack of rows at once,
-with the same reflection kernel as ``diffusion_apply``, for the 64-row
-decode grid of the tables and the intercept audit.  ``decode_relative``
-runs both phases exactly, on the Gaussian-integer relative phase between
-the encoded and the decoding catalog state; the protocol round uses it.
+``decode_relative`` runs both phases exactly, on the Gaussian-integer
+relative phase between the encoded and the decoding catalog state; the
+protocol round uses it.  ``exact_step_rows`` is the same exact step on a
+stack of such rows, for phase 2 of the 64-row decode grid of the tables
+and the intercept audit.
 
 Shot sampling uses inverse-CDF draws from NumPy's PCG64 generator
 (``numpy.random.default_rng(seed)``), so counts are reproducible across
@@ -62,21 +62,10 @@ def oracle_apply(s: StateVector, m: str) -> StateVector:
 
 
 def _reflect(amps: np.ndarray, about: np.ndarray) -> np.ndarray:
-    """U_S = 2|S><S| - I on the last axis: 2<S|s>|S> - |s> for one row
-    ``amps`` and its axis ``about``, or row by row for two equal stacks."""
-    if amps.ndim == 1:
-        out = 2 * complex(np.vdot(about, amps)) * about - amps
-        finite = all(map(cmath.isfinite, out.tolist()))
-    else:
-        # A conjugated row times a column sums in np.vdot's order, bit for
-        # bit; einsum and .sum(-1) do not.  np.vdot does not warn on
-        # overflow, and neither does this: the test below refuses it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            overlap = np.matmul(about.conj()[:, None, :], amps[:, :, None])[:, :, 0]
-            out = 2 * overlap * about - amps
-        finite = np.isfinite(out).all()
+    """U_S = 2|S><S| - I on one row ``amps``: 2<S|s>|S> - |s>."""
+    out = 2 * complex(np.vdot(about, amps)) * about - amps
     # Finite inputs can still overflow; negation in oracle_apply cannot.
-    if not finite:
+    if not all(map(cmath.isfinite, out.tolist())):
         raise ValueError("amplitudes must be finite")
     return out
 
@@ -145,19 +134,6 @@ def decode_phase2(
     return final, distribution(final)
 
 
-def decode_phase2_rows(states: np.ndarray, marks: list[str], about: np.ndarray) -> np.ndarray:
-    """Second decode phase on an (n, 8) stack of phase-1 amplitude rows.
-
-    Row i gets the oracle for ``marks[i]``, then the diffusion about row i
-    of ``about``.  Returns the (n, 8) matrix of final probabilities; each
-    row equals ``decode_phase2``'s distribution bit for bit, without a
-    StateVector per row.
-    """
-    flipped = states.copy()
-    flipped[np.arange(len(flipped)), [label_to_index(M) for M in marks]] *= -1
-    return np.abs(_reflect(flipped, about)) ** 2
-
-
 class ExactDecode(NamedTuple):
     """Both decode phases of r ⊙ e_m about S_1, as exact Gaussian integers.
 
@@ -180,6 +156,14 @@ def _exact_step(x: list[complex], flip: int) -> list[complex]:
     y[flip] = -y[flip]
     total = sum(y)
     return [total - 4 * v for v in y]
+
+
+def exact_step_rows(x: np.ndarray, flips: Sequence[int]) -> np.ndarray:
+    """``_exact_step`` on each row of an (n, 8) stack of Gaussian integers,
+    row i flipped at ``flips[i]``; small integers sum exactly in any order."""
+    y = x.copy()
+    y[np.arange(len(y)), flips] *= -1
+    return y.sum(axis=1, keepdims=True) - 4 * y
 
 
 def _exact_probs(n: list[complex], scale: int) -> list[float]:

@@ -16,7 +16,7 @@ from groverqss.attacks import (
     phase_pattern_basis,
     sign_flip_basis,
 )
-from groverqss.catalog import CHEAT_DETECT_MARKS, initial_state
+from groverqss.catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state
 
 SQRT8 = np.sqrt(8.0)
 
@@ -145,6 +145,14 @@ def test_intercept_enumeration_claims():
     assert claims["max_cheat_detect_outcome_prob"].matches  # 37/128 exactly
     assert claims["two_state_scenario_success"].matches  # 1/32 exactly
     assert report.details["success_strict_count"] == 1  # only the correct k
+
+
+@pytest.mark.parametrize("m", sorted(MESSAGE_MARKS))
+def test_max_cheat_detect_outcome_prob_is_37_in_128_for_every_encoded_state(m):
+    for k in range(1, 65):
+        claims = {c.name: c for c in intercept_enumeration(k, m).claims}
+        claim = claims["max_cheat_detect_outcome_prob"]
+        assert (claim.derived, claim.claimed, claim.matches) == (37 / 128, 37 / 128, True), k
 
 
 def test_intercept_enumeration_per_guess_table():
