@@ -10,6 +10,8 @@ mapped to the sha256 hex digest of its exact text.  The keys are
 * ``table2/<enc_k>/<m>/<M>/<fmt>``: table 2 under each of the 7 other
   forced marks M, for the eight encoded states ``SPREAD``;
 * ``intercept/<k>/<m>``: the 64-guess intercept audit's JSON report;
+* ``wrong/<k_guess>/<M>``: the single-guess intercept's JSON report for
+  the encoded state 1 with mark 110, every guess and M ∈ {auto, 000…111};
 * ``entangle/<k>/<m>/<control>``: the ancilla attack's JSON report;
 * ``cli/<argv>``: exit code, stdout and stderr of 34 command lines run in
   this process, with session config paths written as ``{name}``.
@@ -28,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 from groverqss import attacks, catalog, cli
+from groverqss.statevec import LABELS
 
 MANIFEST = Path(__file__).resolve().parent / "output_manifest.json"
 
@@ -36,7 +39,7 @@ FORMATS = ("csv", "json", "markdown")
 #: Encoded states whose table 2 is pinned under every forced mark.
 SPREAD = range(1, 65, 8)
 #: The forced marks of table 2 besides the default 110.
-OTHER_MARKS = tuple(format(i, "03b") for i in range(8) if i != 6)
+OTHER_MARKS = tuple(M for M in LABELS if M != "110")
 
 #: Session configs of the ``protocol`` command lines, by placeholder name.
 CLI_CONFIGS = {
@@ -113,6 +116,10 @@ def manifest() -> dict[str, str]:
                 rows = catalog.generate_table2(enc_k, m, M)
                 for fmt in FORMATS:
                     out[f"table2/{enc_k}/{m}/{M}/{fmt}"] = _sha(catalog.render_table(rows, fmt))
+    for k_guess in range(1, 65):
+        for M in (None, *LABELS):
+            report = attacks.intercept_wrong_op(1, "110", k_guess, M)
+            out[f"wrong/{k_guess}/{M or 'auto'}"] = _sha(report.to_json())
     out.update(_cli_outputs())
     return out
 
