@@ -16,13 +16,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import _jsontext
-from .catalog import CHEAT_DETECT_MARKS, decode_grid, initial_state
+from .catalog import CHEAT_DETECT_MARKS, decode_grid, initial_state, phase_table
 from .grover import (
     argmax_labels,
-    decode_phase1,
-    decode_phase2,
+    decode_relative,
     diffusion_apply,
     encode,
+    exact_final_state,
     oracle_apply,
 )
 from .statevec import LABELS, PHASES, StateVector, distribution, label_to_index
@@ -122,27 +122,26 @@ def intercept_wrong_op(
 ) -> AttackReport:
     """A dishonest participant decodes with a guessed catalog state.
 
-    Evolves the true encoded state through the pipeline built from the
-    guessed initial state.  ``M_guess`` forces the intermediate mark; None
-    picks the argmax of the first diffusion (lexicographic tie-break).
+    Decodes exactly, on the relative phase conj(V_guess) ⊙ V_true of the
+    catalog rows.  ``M_guess`` forces the intermediate mark; None picks
+    the argmax of the first diffusion (lexicographic tie-break).
     """
-    encoded = encode(initial_state(k_true), m)
+    initial_state(k_true)  # refuses a bad k_true
     guess = initial_state(k_guess)
-    p1 = decode_phase1(encoded, guess)
-    M = M_guess if M_guess is not None else p1.chosen_M
-    final, fdist = decode_phase2(p1.state, M, guess)
-    p_m = float(fdist[label_to_index(m)])
-    tied = argmax_labels(fdist)
+    r = phase_table()[k_guess - 1].conj() * phase_table()[k_true - 1]
+    d = decode_relative(r.tolist(), m, M_guess)
+    p_m = d.final_dist[label_to_index(m)]
     return AttackReport(
         attack_kind="intercept",
-        intermediate_states=[("after_first_diffusion", p1.state.amps), ("final", final.amps)],
-        outcome_dist=fdist,
+        intermediate_states=[("after_first_diffusion", guess.amps * np.array(d.n1) / 4),
+                             ("final", exact_final_state(guess, d.n2).amps)],
+        outcome_dist=np.array(d.final_dist),
         attacker_success_prob=p_m,
         notes=[
-            f"decoded with k={k_guess} against true k={k_true}, M={M}",
-            f"final argmax set {{{', '.join(tied)}}} at {float(fdist.max()):.6f}",
+            f"decoded with k={k_guess} against true k={k_true}, M={d.chosen_M}",
+            f"final argmax set {{{', '.join(d.final_set)}}} at {max(d.final_dist):.6f}",
         ],
-        details={"M": M, "final_argmax": tied, "p_marked": p_m},
+        details={"M": d.chosen_M, "final_argmax": d.final_set, "p_marked": p_m},
     )
 
 

@@ -6,9 +6,9 @@ state.  Decoding runs one diffusion, reads off the highest-probability
 outcome M, then runs the oracle for M followed by a second diffusion.
 ``decode_relative`` runs both phases exactly, on the Gaussian-integer
 relative phase between the encoded and the decoding catalog state; the
-protocol round uses it.  ``exact_step_rows`` is the same exact step on a
-stack of such rows, for phase 2 of the 64-row decode grid of the tables
-and the intercept audit.
+protocol round and the single-guess intercept use it.  ``exact_step_rows``
+is the same exact step on a stack of such rows, for phase 2 of the 64-row
+decode grid of the tables and the intercept audit.
 
 Shot sampling uses inverse-CDF draws from NumPy's PCG64 generator
 (``numpy.random.default_rng(seed)``), so counts are reproducible across
@@ -144,6 +144,7 @@ class ExactDecode(NamedTuple):
     phase1_dist: list[float]
     argmax_set: list[str]
     chosen_M: str
+    n1: list[complex]
     n2: list[complex]
     final_dist: list[float]
     final_set: list[str]
@@ -171,22 +172,23 @@ def _exact_probs(n: list[complex], scale: int) -> list[float]:
     return [(v.real * v.real + v.imag * v.imag) / scale for v in n]
 
 
-def decode_relative(r: Sequence[complex], m: str) -> ExactDecode:
+def decode_relative(r: Sequence[complex], m: str, M: str | None = None) -> ExactDecode:
     """Decode exactly from a relative-phase row ``r`` of 8 Gaussian integers.
 
     Every oracle is diagonal, so decoding |S_enc>_m with S_k equals
     D_k applied to the decode of r ⊙ e_m / √8 with S_1, where r = conj(V_k)
     ⊙ V_enc for the catalog rows V and e_m is all ones with the sign at m
-    flipped.  M is the smallest label of the phase-1 tie set.
+    flipped.  Phase 2 marks ``M`` (any label, tied or not) or the smallest tied one.
     """
     if len(r) != 8:
         raise ValueError(f"relative phase row has {len(r)} entries, not 8")
     n1 = _exact_step(list(r), label_to_index(m))
     p1 = _exact_probs(n1, 128)
     tied = _tied(p1, max(p1))
-    n2 = _exact_step(n1, label_to_index(tied[0]))
+    M = tied[0] if M is None else M
+    n2 = _exact_step(n1, label_to_index(M))
     p2 = _exact_probs(n2, 2048)
-    return ExactDecode(p1, tied, tied[0], n2, p2, _tied(p2, max(p2)))
+    return ExactDecode(p1, tied, M, n1, n2, p2, _tied(p2, max(p2)))
 
 
 def exact_final_state(decoding: StateVector, n2: Sequence[complex]) -> StateVector:

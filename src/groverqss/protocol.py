@@ -119,12 +119,11 @@ def split_secret(secret: str) -> list[str]:
 
 def run_round(cfg: RoundConfig) -> ProtocolTranscript:
     """Execute one protocol round and return its transcript."""
-    s_k = initial_state(cfg.k)
     dec = decode_relative(HONEST_PHASE, cfg.marked)
     if cfg.measurement_mode == "top":
         outcome = dec.final_set[0]
     else:
-        (outcome,) = sample(exact_final_state(s_k, dec.n2), 1, cfg.seed).counts
+        (outcome,) = sample(exact_final_state(initial_state(cfg.k), dec.n2), 1, cfg.seed).counts
     bits = [int(b) for b in outcome]
     events = [
         Event("prepare", {"k": cfg.k, "round_kind": cfg.round_kind}),

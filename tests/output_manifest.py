@@ -39,7 +39,7 @@ FORMATS = ("csv", "json", "markdown")
 #: Encoded states whose table 2 is pinned under every forced mark.
 SPREAD = range(1, 65, 8)
 #: The forced marks of table 2 besides the default 110.
-OTHER_MARKS = tuple(M for M in LABELS if M != "110")
+OTHER_MARKS = tuple(format(i, "03b") for i in range(8) if i != 6)
 
 #: Session configs of the ``protocol`` command lines, by placeholder name.
 CLI_CONFIGS = {

@@ -1,9 +1,12 @@
 import functools
 import itertools
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from test_symmetry import exact_step, squared_norms
 
 from groverqss.attacks import (
     computational_basis,
@@ -16,7 +19,9 @@ from groverqss.attacks import (
     phase_pattern_basis,
     sign_flip_basis,
 )
-from groverqss.catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state
+from groverqss.catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state, phase_table
+from groverqss.grover import argmax_labels, decode_phase1, decode_phase2, encode
+from groverqss.statevec import LABELS, label_to_index
 
 SQRT8 = np.sqrt(8.0)
 
@@ -132,7 +137,67 @@ def test_intercept_swapped_roles():
 
 def test_intercept_correct_guess():
     report = intercept_wrong_op(k_true=1, m="110", k_guess=1)
-    assert report.attacker_success_prob == pytest.approx(121 / 128, abs=1e-12)
+    assert report.attacker_success_prob == 121 / 128
+
+
+def test_intercept_k_guess_5_prints_1_in_128():
+    doc = json.loads(intercept_wrong_op(k_true=1, m="110", k_guess=5).to_json())
+    assert doc["attacker_success_prob"] == doc["details"]["p_marked"] == 1 / 128
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, "110", 5), "catalog index k must be 1..64, got 0"),
+        ((1, "110", 65), "catalog index k must be 1..64, got 65"),
+        ((True, "110", 5), "catalog index k must be an integer in 1..64, got True"),
+        ((1, "11", 5), "label '11' is not 3 bits"),
+        ((1, "110", 5, "abc"), "not a bit string: 'abc'"),
+        ((1, "110", 5, "0000"), "label '0000' is not 3 bits"),
+    ],
+)
+def test_intercept_wrong_op_refuses_bad_arguments(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        intercept_wrong_op(*args)
+
+
+def float_intercept(k_true, m, k_guess, M=None):
+    """The single-guess intercept on the float pipeline: phase-1 state, M,
+    final state and final distribution."""
+    guess = initial_state(k_guess)
+    p1 = decode_phase1(encode(initial_state(k_true), m), guess)
+    M = p1.chosen_M if M is None else M
+    final, fdist = decode_phase2(p1.state, M, guess)
+    return p1.state.amps, M, final.amps, fdist
+
+
+#: True states whose intercepts are also checked under all 8 forced marks.
+SPREAD = range(1, 65, 8)
+
+
+@pytest.mark.parametrize("k_true", range(1, 65))
+def test_exact_intercept_equals_the_float_pipeline(k_true):
+    """Every guess and mark, with the automatic M and, for the ``SPREAD``
+    true states, each forced M: the same M and final tie set as the float
+    pipeline, displays within 16 ulps of 1 of it, and final probabilities
+    equal to the exact step's, whose numerators sum to 2048."""
+    table = phase_table()
+    one = 16 * math.ulp(1.0)
+    for k_guess, m in itertools.product(range(1, 65), LABELS):
+        r = (table[k_guess - 1].conj() * table[k_true - 1]).tolist()
+        n1 = exact_step(r, label_to_index(m))
+        for M in (None, *(LABELS if k_true in SPREAD else ())):
+            report = intercept_wrong_op(k_true, m, k_guess, M)
+            after, ref_M, final, fdist = float_intercept(k_true, m, k_guess, M)
+            assert report.details["M"] == ref_M
+            assert report.details["final_argmax"] == argmax_labels(fdist)
+            (_, got_after), (_, got_final) = report.intermediate_states
+            assert np.abs(got_after - after).max() <= one
+            assert np.abs(got_final - final).max() <= one
+            exact = [p / 2048 for p in squared_norms(exact_step(n1, label_to_index(ref_M)))]
+            assert report.outcome_dist.tolist() == exact
+            assert sum(p * 2048 for p in exact) == 2048
+            assert report.attacker_success_prob == exact[label_to_index(m)]
 
 
 def test_intercept_enumeration_claims():

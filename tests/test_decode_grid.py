@@ -215,15 +215,19 @@ def test_exact_kernel_equals_the_decode_grid(enc_k):
 
 
 def test_exact_kernel_ignores_a_global_phase():
-    """c·r decodes like r for every catalog row r, mark m and c in {1, i, -1, -i}:
-    the same tie sets, M and probabilities by equality, and n2 times c."""
+    """c·r decodes like r for every catalog row r, mark m, c in {1, i, -1, -i}
+    and phase-2 mark M, automatic or forced: the same tie sets, M and
+    probabilities by equality, and n1 and n2 times c."""
     for r in phase_table().tolist():
         for m in MARKS:
-            d = decode_relative(r, m)
-            for c in (1, 1j, -1, -1j):
-                e = decode_relative([c * v for v in r], m)
-                assert e._replace(n2=d.n2) == d
-                assert e.n2 == [c * v for v in d.n2]
+            for M in (None, *MARKS):
+                d = decode_relative(r, m, M)
+                assert M is None or d.chosen_M == M
+                for c in (1, 1j, -1, -1j):
+                    e = decode_relative([c * v for v in r], m, M)
+                    assert e._replace(n1=d.n1, n2=d.n2) == d
+                    assert e.n1 == [c * v for v in d.n1]
+                    assert e.n2 == [c * v for v in d.n2]
 
 
 def test_argmax_labels_of_a_stack_is_the_list_of_each_row():
