@@ -42,7 +42,9 @@ class Claim:
 
     @staticmethod
     def compare(name: str, derived: float, claimed: float) -> "Claim":
-        return Claim(name, float(derived), float(claimed), abs(derived - claimed) <= 1e-9)
+        """Matched by ==: every claimed value is a dyadic rational that a float
+        holds exactly, and every derived value but the ancilla attack's is exact."""
+        return Claim(name, float(derived), float(claimed), derived == claimed)
 
 
 @dataclass
@@ -61,27 +63,16 @@ class AttackReport:
         def amps(a: np.ndarray):
             return [[_sig12(x.real), _sig12(x.imag)] for x in a.tolist()]
 
+        # The fields in their order; a key replaced below keeps its place.
         doc = {
-            "attack_kind": self.attack_kind,
+            **vars(self),
             "intermediate_states": [
                 {"label": name, "amplitudes": amps(a)} for name, a in self.intermediate_states
             ],
             "outcome_dist": None
             if self.outcome_dist is None
             else [_sig12(p) for p in self.outcome_dist.tolist()],
-            "attacker_success_prob": self.attacker_success_prob,
-            "dealer_detection_prob": self.dealer_detection_prob,
-            "claims": [
-                {
-                    "name": c.name,
-                    "derived": c.derived,
-                    "claimed": c.claimed,
-                    "matches": c.matches,
-                }
-                for c in self.claims
-            ],
-            "notes": self.notes,
-            "details": self.details,
+            "claims": [vars(c) for c in self.claims],
         }
         return _jsontext.dumps(doc) + "\n"
 
@@ -96,8 +87,7 @@ def lie_attack(true_m: str, flips: frozenset[str] | set[str]) -> AttackReport:
     ``flips`` names the lying participants among P1/P2/P3 (participant Pi
     holds qubit i and flips its reported bit).
     """
-    if len(true_m) != 3 or set(true_m) - {"0", "1"}:
-        raise ValueError(f"mark must be a 3-bit label, got {true_m!r}")
+    label_to_index(true_m)  # refuses a bad mark
     positions = {"P1": 0, "P2": 1, "P3": 2}
     unknown = set(flips) - positions.keys()
     if unknown:

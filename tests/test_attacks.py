@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -210,6 +211,47 @@ def test_intercept_enumeration_claims():
     assert claims["max_cheat_detect_outcome_prob"].matches  # 37/128 exactly
     assert claims["two_state_scenario_success"].matches  # 1/32 exactly
     assert report.details["success_strict_count"] == 1  # only the correct k
+
+
+def exact_intercept_claims(k_true, m):
+    """The intercept audit's claimed quantities as exact fractions, from the
+    integer decode of ``exact_step``: the auto mark is the smallest label of
+    the phase-1 tie set, and the cheat-detect exposure is read under M = m."""
+    table = phase_table()
+    inclusive = correct_M = 0
+    cheat = Fraction(0)
+    for k in range(1, 65):
+        r = (table[k - 1].conj() * table[k_true - 1]).tolist()
+        n1 = exact_step(r, label_to_index(m))
+        p1 = [int(p) for p in squared_norms(n1)]
+        M = p1.index(max(p1))
+        p2 = [int(p) for p in squared_norms(exact_step(n1, M))]
+        inclusive += p2[label_to_index(m)] == max(p2)
+        correct_M += LABELS[M] == m
+        forced = squared_norms(exact_step(n1, label_to_index(m)))
+        cheat = max(cheat, *(Fraction(int(forced[label_to_index(c)]), 2048)
+                             for c in CHEAT_DETECT_MARKS))
+    return {
+        "attacker_success_inclusive": Fraction(inclusive, 64),
+        "correct_intermediate_mark": Fraction(correct_M, 64),
+        "dealer_detection": 1 - Fraction(inclusive, 64),
+        "max_cheat_detect_outcome_prob": cheat,
+        "two_state_scenario_success": Fraction(1, 32),
+    }
+
+
+@pytest.mark.parametrize("m", sorted(MESSAGE_MARKS))
+def test_intercept_and_resend_claims_equal_their_exact_fractions(m):
+    """Claims match by ==, so each derived value must be exact."""
+    for k_true in range(1, 65):
+        exact = exact_intercept_claims(k_true, m)
+        claims = intercept_enumeration(k_true, m).claims
+        assert {c.name: c.derived for c in claims} == exact, k_true
+        assert all(c.matches == (c.derived == c.claimed) for c in claims)
+    message = Fraction(len(CHEAT_DETECT_MARKS), 8)
+    exact = {"detection_message_round": message, "detection_cheat_round": Fraction(7, 8),
+             "detection_average": (message + Fraction(7, 8)) / 2}
+    assert {c.name: c.derived for c in intercept_resend_analysis().claims} == exact
 
 
 @pytest.mark.parametrize("m", sorted(MESSAGE_MARKS))

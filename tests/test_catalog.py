@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
@@ -135,10 +137,25 @@ def test_marked_sets_partition():
     assert not MESSAGE_MARKS & CHEAT_DETECT_MARKS
 
 
+def decimal_round3(x):
+    """Half-up rounding to 3 decimals through ``decimal``, on the float's
+    exact value and on its shortest repr."""
+    return tuple(float(Decimal(d).quantize(Decimal("0.001"), ROUND_HALF_UP))
+                 for d in (x, repr(x)))
+
+
 def test_round3_half_up():
     assert round3(25 / 32) == 0.781
     assert round3(121 / 128) == 0.945
     assert round3(0.0005) == 0.001
+    # Every probability of the decode is k/128 or k/2048 (0.0625 and the
+    # other odd multiples of 1/16 are ties); their neighbours one ulp away
+    # stand for float noise.
+    values = {v for den in (128, 2048) for k in range(den + 1)
+              for v in (k / den, math.nextafter(k / den, -1), math.nextafter(k / den, 2))}
+    values = sorted(v for v in values if v >= 0)
+    assert len(values) == 6146
+    assert [v for v in values if decimal_round3(v) != (round3(v),) * 2] == []
 
 
 def test_table1_reproduces_publication_exactly():

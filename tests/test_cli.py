@@ -193,11 +193,20 @@ def test_flags_without_effect_are_rejected(argv, tmp_path, capsys):
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("mark", ["11", "xyz"])
+#: A bad ``attack lie --m`` gets the message of every other label check.
+LIE_MARK_ERRORS = {
+    "11": "label '11' is not 3 bits",
+    "xyz": "not a bit string: 'xyz'",
+    "abc": "not a bit string: 'abc'",
+    "0110": "label '0110' is not 3 bits",
+}
+
+
+@pytest.mark.parametrize("mark", LIE_MARK_ERRORS)
 def test_attack_lie_rejects_a_mark_that_is_not_3_bits(mark, capsys):
     code, out, err = run_cli(capsys, "attack", "lie", "--m", mark, "--flips", "P3")
     assert code == 2 and out == ""
-    assert err.startswith("error:")
+    assert err == f"error: {LIE_MARK_ERRORS[mark]}\n"
 
 
 @pytest.mark.parametrize(

@@ -182,10 +182,13 @@ def test_tables_and_audit_equal_the_per_row_loop(enc_k, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(attacks, "decode_grid", per_row_decode_grid)
             per_row = json.loads(attacks.intercept_enumeration(enc_k, m).to_json())
-        # The per-row float loop reaches 37/128 only within rounding.
+        # The per-row float loop reaches 37/128 only within rounding, and a
+        # claim matches by ==, so its match flag follows that rounding.
         per_row_cheat = per_row["claims"][3].pop("derived")
         assert within_16_ulps([per_row_cheat], [37 / 128])
+        assert per_row["claims"][3].pop("matches") == (per_row_cheat == 37 / 128)
         assert doc["claims"][3].pop("derived") == 37 / 128
+        assert doc["claims"][3].pop("matches") is True
         assert doc == per_row
         details, derived = per_row_intercept_details(enc_k, m)
         assert doc["details"] == details
