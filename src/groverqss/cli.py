@@ -27,6 +27,12 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def non_negative_int(text: str) -> int:
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def cmd_tables(args) -> int:
     M = "110" if args.M is None else args.M
     if args.which == 1:
@@ -125,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("protocol", help="run a secret-sharing session from a JSON config")
     p.add_argument("config")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_protocol)
 
@@ -157,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--m", default="110")
     p.add_argument("--shots", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)

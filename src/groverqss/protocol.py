@@ -22,6 +22,7 @@ from .catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state
 from .grover import decode_relative, exact_final_state, sample
 
 PARTICIPANTS = ("P1", "P2", "P3")
+_PARTICIPANT_SET = frozenset(PARTICIPANTS)
 
 #: Local measurement modes: "top" reads off the smallest label of the final
 #: argmax set; "sampled" draws a single seeded shot from the final
@@ -60,7 +61,7 @@ class RoundConfig:
             )
         if self.measurement_mode not in MEASUREMENT_MODES:
             raise ValueError(f"unknown measurement mode {self.measurement_mode!r}")
-        unknown = (self.liars | self.no_declaration) - set(PARTICIPANTS)
+        unknown = (self.liars | self.no_declaration) - _PARTICIPANT_SET
         if unknown:
             raise ValueError(f"unknown participants: {sorted(unknown)}")
 
@@ -127,19 +128,19 @@ def run_round(cfg: RoundConfig) -> ProtocolTranscript:
     bits = [int(b) for b in outcome]
     events = [
         Event("prepare", {"k": cfg.k, "round_kind": cfg.round_kind}),
-        *[Event("distribute", {"qubit": i, "participant": p})
-          for i, p in enumerate(PARTICIPANTS, start=1)],
-        *[Event("ack", {"participant": p}) for p in PARTICIPANTS],
+        Event("distribute", {"qubit": 1, "participant": "P1"}),
+        Event("distribute", {"qubit": 2, "participant": "P2"}),
+        Event("distribute", {"qubit": 3, "participant": "P3"}),
+        Event("ack", {"participant": "P1"}),
+        Event("ack", {"participant": "P2"}),
+        Event("ack", {"participant": "P3"}),
         Event("announce", {"k": cfg.k}),
-        Event("collective_op", {
-            "M": dec.chosen_M,
-            "final_distribution": dec.final_dist,
-            "outcome": outcome,
-        }),
-        *[Event("local_measure", {"participant": p, "bit": b}) for p, b in zip(PARTICIPANTS, bits)],
-        *[Event("report", {"participant": p, "bit": b ^ (p in cfg.liars)})
-          for p, b in zip(PARTICIPANTS, bits) if p not in cfg.no_declaration],
+        Event("collective_op", {"M": dec.chosen_M, "final_distribution": dec.final_dist,
+                                "outcome": outcome}),
     ]
+    events += [Event("local_measure", {"participant": p, "bit": b}) for p, b in zip(PARTICIPANTS, bits)]
+    events += [Event("report", {"participant": p, "bit": b ^ (p in cfg.liars)})
+               for p, b in zip(PARTICIPANTS, bits) if p not in cfg.no_declaration]
     t = ProtocolTranscript(events)
     verdict, reason = dealer_verify(t, cfg.marked)
     events.append(Event("verdict", {"verdict": verdict, "reason": reason}))
@@ -172,6 +173,9 @@ def run_session(
     ``no_declaration``.  Message entries consume shares in order; by
     default the schedule is one cheat-detect round followed by the message
     rounds.  Aborts at the first rejected verdict.
+    One ``default_rng(seed).integers(0, bounds)`` call makes every draw, in
+    round order: a cheat mark (5) where a cheat-detect entry names none, k
+    (64, plus 1) and the round seed (2**31), each equal to a scalar call's.
     """
     shares = split_secret(secret)
     if schedule is None:
@@ -179,8 +183,13 @@ def run_session(
     if sum(1 for e in schedule if e["kind"] == "message") != len(shares):
         raise ValueError("schedule must contain exactly one message round per share")
 
-    rng = np.random.default_rng(seed)
     cheat_marks = sorted(CHEAT_DETECT_MARKS)
+    bounds = []
+    for entry in schedule:
+        if entry["kind"] != "message" and entry.get("marked") is None:
+            bounds.append(len(cheat_marks))
+        bounds += (64, 2**31)
+    draws = iter(np.random.default_rng(seed).integers(0, bounds).tolist())
     transcripts: list[ProtocolTranscript] = []
     recovered: list[str] = []
     share_iter = iter(shares)
@@ -191,14 +200,14 @@ def run_session(
         else:
             marked = entry.get("marked")
             if marked is None:
-                marked = cheat_marks[rng.integers(len(cheat_marks))]
+                marked = cheat_marks[next(draws)]
         cfg = RoundConfig(
-            k=int(rng.integers(1, 65)),
+            k=next(draws) + 1,
             marked=marked,
             round_kind=kind,
             liars=frozenset(entry.get("liars", ())),
             no_declaration=frozenset(entry.get("no_declaration", ())),
-            seed=int(rng.integers(2**31)),
+            seed=next(draws),
             measurement_mode=measurement_mode,
         )
         t = run_round(cfg)
@@ -225,8 +234,8 @@ def load_session_config(path: str | Path) -> dict:
         raise ValueError("session config must be an object with a string 'secret' field")
     _known_keys(cfg, {"secret", "schedule", "seed", "measurement_mode"}, "session config")
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"session 'seed' must be an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"session 'seed' must be a non-negative integer, got {seed!r}")
     schedule = cfg.get("schedule")
     if schedule is not None and not (
         isinstance(schedule, list) and all(isinstance(e, dict) and "kind" in e for e in schedule)

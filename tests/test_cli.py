@@ -269,6 +269,7 @@ def test_deeply_nested_session_config_is_a_usage_error(tmp_path, capsys):
 def work_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli")
     (path / "cfg.json").write_text(json.dumps({"secret": "110011101", "seed": 5}))
+    (path / "negative_seed.json").write_text(json.dumps({"secret": "110011101", "seed": -3}))
     return path
 
 
@@ -374,3 +375,21 @@ def test_unwritable_out_is_a_usage_error(argv, work_dir, capsys):
     code, out, err = run_cli(capsys, *(a.format(dir=work_dir) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("protocol", "{dir}/cfg.json", "--seed", "-3"),
+         "groverqss protocol: error: argument --seed: must be a non-negative integer, got -3"),
+        (("protocol", "{dir}/negative_seed.json"),
+         "error: session 'seed' must be a non-negative integer, got -3"),
+        (("sample", "--seed", "-1"),
+         "groverqss sample: error: argument --seed: must be a non-negative integer, got -1"),
+    ],
+)
+def test_a_negative_seed_is_named_in_its_error(argv, message, work_dir, capsys):
+    # numpy's own refusal, "expected non-negative integer", names no input.
+    code, out, err = run_cli(capsys, *(a.format(dir=work_dir) for a in argv))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == message

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,12 @@ from groverqss.catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state, 
 from groverqss.grover import collective_op, encode, sample
 from groverqss.protocol import (
     HONEST_PHASE,
+    MEASUREMENT_MODES,
     PARTICIPANTS,
     Event,
     ProtocolTranscript,
     RoundConfig,
+    SessionResult,
     dealer_verify,
     load_session_config,
     run_round,
@@ -171,6 +174,114 @@ def test_session_reproducible():
     a = run_session("110011101", seed=77)
     b = run_session("110011101", seed=77)
     assert [t.to_json() for t in a.transcripts] == [t.to_json() for t in b.transcripts]
+
+
+def per_draw_session(secret, schedule, seed, measurement_mode):
+    """The reference for ``run_session``'s draws: one scalar ``integers``
+    call per draw, each made as its round reaches it."""
+    shares = split_secret(secret)
+    if schedule is None:
+        schedule = [{"kind": "cheat_detect"}] + [{"kind": "message"}] * len(shares)
+    rng = np.random.default_rng(seed)
+    cheat_marks = sorted(CHEAT_DETECT_MARKS)
+    transcripts, recovered, share_iter = [], [], iter(shares)
+    for entry in schedule:
+        kind = entry["kind"]
+        if kind == "message":
+            marked = next(share_iter)
+        else:
+            marked = entry.get("marked")
+            if marked is None:
+                marked = cheat_marks[rng.integers(len(cheat_marks))]
+        cfg = RoundConfig(
+            k=int(rng.integers(1, 65)),
+            marked=marked,
+            round_kind=kind,
+            liars=frozenset(entry.get("liars", ())),
+            no_declaration=frozenset(entry.get("no_declaration", ())),
+            seed=int(rng.integers(2**31)),
+            measurement_mode=measurement_mode,
+        )
+        t = run_round(cfg)
+        transcripts.append(t)
+        if t.events[-1].data["verdict"] == "reject":
+            return SessionResult(transcripts, None, "reject")
+        if kind == "message":
+            recovered.append(marked)
+    return SessionResult(transcripts, "".join(recovered), "accept")
+
+
+def random_session(i):
+    """Session ``i`` of the stream-equivalence test: one in ten has the
+    default schedule; the others mix cheat-detect rounds with and without
+    ``marked`` among the message rounds, with a liar or a silent participant
+    in about one round in twenty."""
+    rng = random.Random(i)
+    shares = rng.randint(1, 12)
+    secret = "".join(rng.choice(sorted(MESSAGE_MARKS)) for _ in range(shares))
+    seed = rng.randrange(2**64) if i % 3 else rng.randrange(1000)
+    if i % 10 == 0:
+        return secret, None, seed, MEASUREMENT_MODES[i % 4 // 2]
+    schedule = [{"kind": "message"} for _ in range(shares)]
+    for _ in range(rng.randint(0, 6)):
+        entry = {"kind": "cheat_detect"}
+        if rng.random() < 0.5:
+            entry["marked"] = rng.choice(sorted(CHEAT_DETECT_MARKS))
+        schedule.insert(rng.randrange(len(schedule) + 1), entry)
+    for entry in schedule:
+        r = rng.random()
+        if r < 0.03:
+            entry["liars"] = rng.sample(PARTICIPANTS, rng.randint(1, 3))
+        elif r < 0.05:
+            entry["no_declaration"] = rng.sample(PARTICIPANTS, rng.randint(1, 3))
+    return secret, schedule, seed, MEASUREMENT_MODES[i % 2]
+
+
+def session_summary(result):
+    return (result.verdict, result.recovered_secret,
+            [[e.to_dict() for e in t.events] for t in result.transcripts])
+
+
+def test_one_draw_per_session_equals_the_per_round_draws():
+    # Every bounded draw below 2**32 takes the next 32 bits of PCG64, from a
+    # scalar call or a broadcast one alike.
+    seen = set()
+    for i in range(400):
+        secret, schedule, seed, mode = random_session(i)
+        got = run_session(secret, schedule, seed=seed, measurement_mode=mode)
+        want = per_draw_session(secret, schedule, seed, mode)
+        assert session_summary(got) == session_summary(want), i
+        seen.add((schedule is None, mode, got.verdict))
+    # Both schedules and both modes; sessions that abort leave draws unused.
+    assert {(d, m) for d, m, _ in seen} == {(d, m) for d in (True, False) for m in MEASUREMENT_MODES}
+    assert {(False, m, v) for m in MEASUREMENT_MODES for v in ("accept", "reject")} <= seen
+
+
+@pytest.mark.parametrize("mode", MEASUREMENT_MODES)
+def test_a_session_makes_one_integers_call(mode, monkeypatch):
+    default_rng = np.random.default_rng
+
+    class CountingGenerator(np.random.Generator):
+        calls = 0
+
+        def integers(self, *args, **kwargs):
+            self.calls += 1
+            return super().integers(*args, **kwargs)
+
+    made = []
+
+    def counting_rng(seed=None):
+        made.append(CountingGenerator(default_rng(seed).bit_generator))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    schedule = [{"kind": "message"}, {"kind": "cheat_detect"}, {"kind": "message"},
+                {"kind": "cheat_detect", "marked": "000"}, {"kind": "message"}]
+    result = run_session("110011101", schedule, seed=3, measurement_mode=mode)
+    assert len(result.transcripts) == 5
+    # A sampled round's one-shot generator draws one double and no integer.
+    sampled_rounds = 5 if mode == "sampled" else 0
+    assert [g.calls for g in made] == [1] + [0] * sampled_rounds
 
 
 def test_session_schedule_share_count_checked():
