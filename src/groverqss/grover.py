@@ -6,9 +6,9 @@ state.  Decoding runs one diffusion, reads off the highest-probability
 outcome M, then runs the oracle for M followed by a second diffusion.
 ``decode_relative`` runs both phases exactly, on the Gaussian-integer
 relative phase between the encoded and the decoding catalog state; the
-protocol round and the single-guess intercept use it.  ``exact_step_rows``
-is the same exact step on a stack of such rows, for phase 2 of the 64-row
-decode grid of the tables and the intercept audit.
+single round and the single-guess intercept use it.  ``exact_step_rows`` is
+the same step on a stack of rows: phase 2 of the decode grid of the tables
+and the intercept audit, and ``decode_relative_rows`` for a session.
 
 Shot sampling uses inverse-CDF draws from NumPy's PCG64 generator
 (``numpy.random.default_rng(seed)``), so counts are reproducible across
@@ -189,6 +189,20 @@ def decode_relative(r: Sequence[complex], m: str, M: str | None = None) -> Exact
     n2 = _exact_step(n1, label_to_index(M))
     p2 = _exact_probs(n2, 2048)
     return ExactDecode(p1, tied, M, n1, n2, p2, _tied(p2, max(p2)))
+
+
+def decode_relative_rows(rows: np.ndarray, marks: Sequence[int]) -> tuple[list, list, list, list]:
+    """``decode_relative`` on each row of an (n, 8) stack of Gaussian integers,
+    row i at mark index ``marks[i]``: lists of each row's M index (its first
+    phase-1 tie), final probabilities, final tie mask and n2.  Ties compare
+    the integers |n|² by ``==``."""
+    n1 = exact_step_rows(rows, marks)
+    q1 = n1.real * n1.real + n1.imag * n1.imag
+    M = (q1 == q1.max(axis=1, keepdims=True)).argmax(axis=1)  # first True of each row
+    n2 = exact_step_rows(n1, M)
+    q2 = n2.real * n2.real + n2.imag * n2.imag
+    ties = q2 == q2.max(axis=1, keepdims=True)
+    return M.tolist(), (q2 / 2048).tolist(), ties.tolist(), n2.tolist()
 
 
 def exact_final_state(decoding: StateVector, n2: Sequence[complex]) -> StateVector:

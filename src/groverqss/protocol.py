@@ -19,7 +19,8 @@ import numpy as np
 
 from . import _jsontext
 from .catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state
-from .grover import decode_relative, exact_final_state, sample
+from .grover import decode_relative, decode_relative_rows, exact_final_state, sample
+from .statevec import LABELS, label_to_index
 
 PARTICIPANTS = ("P1", "P2", "P3")
 _PARTICIPANT_SET = frozenset(PARTICIPANTS)
@@ -121,10 +122,16 @@ def split_secret(secret: str) -> list[str]:
 def run_round(cfg: RoundConfig) -> ProtocolTranscript:
     """Execute one protocol round and return its transcript."""
     dec = decode_relative(HONEST_PHASE, cfg.marked)
+    return _play(cfg, dec.chosen_M, dec.final_dist, dec.final_set[0], dec.n2)
+
+
+def _play(cfg: RoundConfig, M: str, final_dist: list, top: str, n2: list) -> ProtocolTranscript:
+    """The transcript of round ``cfg`` from its decode: the mark M, the final
+    distribution, the smallest label of the final tie set and n2."""
     if cfg.measurement_mode == "top":
-        outcome = dec.final_set[0]
+        outcome = top
     else:
-        (outcome,) = sample(exact_final_state(initial_state(cfg.k), dec.n2), 1, cfg.seed).counts
+        (outcome,) = sample(exact_final_state(initial_state(cfg.k), n2), 1, cfg.seed).counts
     bits = [int(b) for b in outcome]
     events = [
         Event("prepare", {"k": cfg.k, "round_kind": cfg.round_kind}),
@@ -135,8 +142,7 @@ def run_round(cfg: RoundConfig) -> ProtocolTranscript:
         Event("ack", {"participant": "P2"}),
         Event("ack", {"participant": "P3"}),
         Event("announce", {"k": cfg.k}),
-        Event("collective_op", {"M": dec.chosen_M, "final_distribution": dec.final_dist,
-                                "outcome": outcome}),
+        Event("collective_op", {"M": M, "final_distribution": final_dist, "outcome": outcome}),
     ]
     events += [Event("local_measure", {"participant": p, "bit": b}) for p, b in zip(PARTICIPANTS, bits)]
     events += [Event("report", {"participant": p, "bit": b ^ (p in cfg.liars)})
@@ -172,10 +178,13 @@ def run_session(
     "cheat_detect") and optional ``marked``, ``liars`` and
     ``no_declaration``.  Message entries consume shares in order; by
     default the schedule is one cheat-detect round followed by the message
-    rounds.  Aborts at the first rejected verdict.
+    rounds.  Every round's config is checked before the first round runs;
+    the session aborts at the first rejected verdict.
     One ``default_rng(seed).integers(0, bounds)`` call makes every draw, in
     round order: a cheat mark (5) where a cheat-detect entry names none, k
     (64, plus 1) and the round seed (2**31), each equal to a scalar call's.
+    One pass of the grid's ``exact_step_rows`` kernel decodes every round
+    from its own row (``decode_relative_rows``); nothing is cached per mark.
     """
     shares = split_secret(secret)
     if schedule is None:
@@ -190,9 +199,8 @@ def run_session(
             bounds.append(len(cheat_marks))
         bounds += (64, 2**31)
     draws = iter(np.random.default_rng(seed).integers(0, bounds).tolist())
-    transcripts: list[ProtocolTranscript] = []
-    recovered: list[str] = []
     share_iter = iter(shares)
+    cfgs = []
     for entry in schedule:
         kind = entry["kind"]
         if kind == "message":
@@ -201,7 +209,7 @@ def run_session(
             marked = entry.get("marked")
             if marked is None:
                 marked = cheat_marks[next(draws)]
-        cfg = RoundConfig(
+        cfgs.append(RoundConfig(
             k=next(draws) + 1,
             marked=marked,
             round_kind=kind,
@@ -209,14 +217,16 @@ def run_session(
             no_declaration=frozenset(entry.get("no_declaration", ())),
             seed=next(draws),
             measurement_mode=measurement_mode,
-        )
-        t = run_round(cfg)
+        ))
+    decoded = decode_relative_rows(np.ones((len(cfgs), 8), dtype=np.int64),
+                                   [label_to_index(cfg.marked) for cfg in cfgs])
+    transcripts: list[ProtocolTranscript] = []
+    for cfg, M, final_dist, ties, n2 in zip(cfgs, *decoded):
+        t = _play(cfg, LABELS[M], final_dist, LABELS[ties.index(True)], n2)
         transcripts.append(t)
         if t.events[-1].data["verdict"] == "reject":
             return SessionResult(transcripts, None, "reject")
-        if kind == "message":
-            recovered.append(marked)
-    return SessionResult(transcripts, "".join(recovered), "accept")
+    return SessionResult(transcripts, secret, "accept")
 
 
 def load_session_config(path: str | Path) -> dict:

@@ -229,6 +229,14 @@ def test_attack_lie_rejects_a_mark_that_is_not_3_bits(mark, capsys):
         {"secret": "110", "measurment_mode": "sampled"},
         {"secret": "110", "schedule": [{"kind": "cheat_detect", "marked": ""},
                                        {"kind": "message"}]},
+        # A bad round after one that rejects (at seed 2, an earlier round rejects).
+        {"secret": "110011101", "seed": 2, "measurement_mode": "sampled",
+         "schedule": [{"kind": "message"}, {"kind": "message"},
+                      {"kind": "message", "no_declaration": ["P7"]}]},
+        {"secret": "110011", "schedule": [{"kind": "message", "liars": ["P1"]},
+                                          {"kind": "message", "liars": ["P9"]}]},
+        {"secret": "110", "schedule": [{"kind": "message", "liars": ["P1"]},
+                                       {"kind": "cheat_detect", "marked": "110"}]},
     ],
 )
 def test_malformed_session_config_is_a_usage_error(cfg, tmp_path, capsys):

@@ -35,9 +35,10 @@ from groverqss.grover import (
     decode_phase1,
     decode_phase2,
     decode_relative,
+    decode_relative_rows,
     encode,
 )
-from groverqss.statevec import distribution, label_to_index
+from groverqss.statevec import LABELS, distribution, label_to_index
 
 #: Encoded states whose grid is also checked under all 8 forced marks, each
 #: for one m, and whose tables and audit are checked for each message mark.
@@ -231,6 +232,27 @@ def test_exact_kernel_ignores_a_global_phase():
                     assert e._replace(n1=d.n1, n2=d.n2) == d
                     assert e.n1 == [c * v for v in d.n1]
                     assert e.n2 == [c * v for v in d.n2]
+
+
+def test_stacked_exact_decode_equals_decode_relative_on_every_row():
+    """One ``decode_relative_rows`` call on every relative row conj(V_k) ⊙
+    V_enc with every mark (64 × 64 × 8 complex rows), and one on the honest
+    int64 stack with every mark, equal ``decode_relative`` row by row by
+    ``==``: the same M, final distribution, final tie set and n2."""
+    table = phase_table()
+    relative = (table.conj()[None, :, :] * table[:, None, :]).reshape(-1, 8)
+    stacks = [(np.repeat(relative, 8, axis=0), list(range(8)) * len(relative)),
+              (np.ones((8, 8), dtype=np.int64), list(range(8)))]
+    for stack, marks in stacks:
+        decoded = decode_relative_rows(stack, marks)
+        assert len(decoded[0]) == len(stack)
+        for r, m, (M, final_dist, ties, n2) in zip(stack.tolist(), marks, zip(*decoded)):
+            d = decode_relative(r, MARKS[m])
+            final_set = [label for label, tied in zip(LABELS, ties) if tied]
+            assert (LABELS[M], final_dist, final_set, n2) == (
+                d.chosen_M, d.final_dist, d.final_set, d.n2)
+    # The honest stack's n2 stays integer, as in a round's own decode.
+    assert all(type(v) is int for row in decoded[3] for v in row)
 
 
 def test_argmax_labels_of_a_stack_is_the_list_of_each_row():

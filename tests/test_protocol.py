@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from groverqss import protocol
 from groverqss.catalog import CHEAT_DETECT_MARKS, MESSAGE_MARKS, initial_state, phase_table
 from groverqss.grover import collective_op, encode, sample
 from groverqss.protocol import (
@@ -282,6 +283,47 @@ def test_a_session_makes_one_integers_call(mode, monkeypatch):
     # A sampled round's one-shot generator draws one double and no integer.
     sampled_rounds = 5 if mode == "sampled" else 0
     assert [g.calls for g in made] == [1] + [0] * sampled_rounds
+
+
+@pytest.mark.parametrize("mode", MEASUREMENT_MODES)
+def test_a_session_decodes_its_rounds_in_one_stacked_call(mode, monkeypatch):
+    calls = {"decode_relative_rows": 0, "decode_relative": 0}
+
+    def counting(name):
+        fn = getattr(protocol, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(protocol, name, counting(name))
+    # Three message rounds share one mark; seed 0 runs all four rounds in both modes.
+    result = run_session("110110110", seed=0, measurement_mode=mode)
+    assert result.verdict == "accept" and len(result.transcripts) == 4
+    assert calls == {"decode_relative_rows": 1, "decode_relative": 0}
+    # Each round's decode is its own: no list is shared between rounds.
+    dists = [t.of_kind("collective_op")[0].data["final_distribution"] for t in result.transcripts]
+    assert len({id(d) for d in dists}) == len(dists)
+
+
+#: Sessions whose bad config sits after a round that can reject.
+LATE_BAD_ROUNDS = [
+    ("110011101", [{"kind": "message"}, {"kind": "message"},
+                   {"kind": "message", "no_declaration": ["P7"]}]),
+    ("110011", [{"kind": "message", "liars": ["P1"]}, {"kind": "message", "liars": ["P9"]}]),
+    ("110", [{"kind": "message", "liars": ["P1"]}, {"kind": "cheat_detect", "marked": "110"}]),
+]
+
+
+@pytest.mark.parametrize("secret,schedule", LATE_BAD_ROUNDS)
+def test_every_round_is_checked_before_the_first_round_runs(secret, schedule):
+    # Whether an earlier round rejects depends on the seed; the error must not.
+    for seed in range(10):
+        with pytest.raises(ValueError):
+            run_session(secret, schedule, seed=seed, measurement_mode="sampled")
 
 
 def test_session_schedule_share_count_checked():
